@@ -5,7 +5,7 @@
 //! two comparison axes:
 //!
 //! * **pipelined vs barrier** — `pipelined` is the production
-//!   [`stopss_core::ShardedSToPSS::publish_batch`]: the front-end
+//!   [`stopss_core::SToPSS::publish_batch`]: the front-end
 //!   prepares pipeline chunk *k+1* on a scoped worker while the shards
 //!   match chunk *k*; `barrier` composes the same two stages without
 //!   overlap (`frontend().prepare_batch()` then
@@ -34,7 +34,7 @@ use std::time::Duration;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stopss_bench::{
-    render_bench_json, sharded_matcher_for, sweep_json_fields, timed_barrier_batch_sweep,
+    matcher_for, render_bench_json, sweep_json_fields, timed_barrier_batch_sweep,
     timed_batch_sweep, timed_replicated_batch_sweep, JsonRow, JsonValue, ReplicatedSharded,
 };
 use stopss_core::Config;
@@ -63,7 +63,7 @@ fn bench_sharding(c: &mut Criterion) {
             let config = config_for(engine, shards);
             let events = &fixture.publications;
 
-            let pipelined = sharded_matcher_for(&fixture, config);
+            let pipelined = matcher_for(&fixture, config);
             let mut idx = 0usize;
             group.bench_with_input(
                 BenchmarkId::new(engine.name(), format!("shards={shards}/pipelined")),
@@ -79,7 +79,7 @@ fn bench_sharding(c: &mut Criterion) {
                 },
             );
 
-            let barrier = sharded_matcher_for(&fixture, config);
+            let barrier = matcher_for(&fixture, config);
             let mut idx = 0usize;
             group.bench_with_input(
                 BenchmarkId::new(engine.name(), format!("shards={shards}/barrier")),
@@ -130,8 +130,8 @@ fn trajectory_rows(fixture: &Fixture) -> Vec<JsonRow> {
     for engine in EngineKind::ALL {
         for shards in SHARD_COUNTS {
             let config = config_for(engine, shards);
-            let pipelined = sharded_matcher_for(fixture, config);
-            let barrier = sharded_matcher_for(fixture, config);
+            let pipelined = matcher_for(fixture, config);
+            let barrier = matcher_for(fixture, config);
             let mut replicated = ReplicatedSharded::new(fixture, config);
             let mut best_pipelined: Option<stopss_bench::SweepResult> = None;
             let mut best_barrier: Option<stopss_bench::SweepResult> = None;
@@ -198,7 +198,7 @@ fn churn_rows(fixture: &Fixture) -> Vec<JsonRow> {
             // (ns_per_control_op, ns_per_event, events_per_sec, matches, ops)
             let mut best: Option<(f64, f64, f64, u64, u64)> = None;
             for _ in 0..PASSES {
-                let matcher = sharded_matcher_for(fixture, config);
+                let matcher = matcher_for(fixture, config);
                 let stop = AtomicBool::new(false);
                 let (control_ns, control_ops, published) = std::thread::scope(|scope| {
                     let publishers: Vec<_> = (0..CHURN_PUBLISHERS)

@@ -10,11 +10,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use stopss_core::{shard_of, Config, Match, SToPSS, ShardedSToPSS};
+use stopss_core::{shard_of, Config, Match, SToPSS};
 use stopss_types::{Event, SubId, Subscription};
 use stopss_workload::Fixture;
 
-/// Builds a matcher over a fixture's ontology and loads its subscriptions.
+/// Builds a matcher (shard count from `config.shards`) over a fixture's
+/// ontology and loads its subscriptions.
 pub fn matcher_for(fixture: &Fixture, config: Config) -> SToPSS {
     fixture.matcher(config)
 }
@@ -87,18 +88,12 @@ pub fn timed_sweep(matcher: &SToPSS, events: &[Event], warmup: usize) -> SweepRe
     }
 }
 
-/// Builds a sharded matcher (shard count from `config.shards`) over a
-/// fixture's ontology and loads its subscriptions.
-pub fn sharded_matcher_for(fixture: &Fixture, config: Config) -> ShardedSToPSS {
-    fixture.sharded_matcher(config)
-}
-
 /// Publishes every event through `publish_batch` in batches of
 /// `batch_size` (after one untimed warm-up pass over the first `warmup`
-/// events) and reports matches and mean per-event latency — the sharded
+/// events) and reports matches and mean per-event latency — the batched
 /// counterpart of [`timed_sweep`].
 pub fn timed_batch_sweep(
-    matcher: &ShardedSToPSS,
+    matcher: &SToPSS,
     events: &[Event],
     batch_size: usize,
     warmup: usize,
@@ -132,7 +127,7 @@ pub fn timed_batch_sweep(
 /// stage 1 of chunk k+1 against stage 2 of chunk k): together they form
 /// the pipelined-vs-barrier axis of the `sharding_scaling` trajectory.
 pub fn timed_barrier_batch_sweep(
-    matcher: &ShardedSToPSS,
+    matcher: &SToPSS,
     events: &[Event],
     batch_size: usize,
     warmup: usize,
@@ -167,12 +162,12 @@ pub fn timed_barrier_batch_sweep(
 }
 
 /// The PR-2 replicated sharding design, kept as a reference baseline: N
-/// complete [`SToPSS`] instances partitioned by [`shard_of`], each
+/// complete one-shard [`SToPSS`] instances partitioned by [`shard_of`], each
 /// recomputing the *full* semantic pass (closure / materialization) for
 /// every publication, fanned out on scoped worker threads.
 ///
-/// The production [`ShardedSToPSS`] hoists the event-side pass into a
-/// shared front-end; this harness preserves the replicated architecture
+/// A sharded [`SToPSS`] hoists the event-side pass into a shared
+/// front-end; this harness preserves the replicated architecture
 /// so the `sharding_scaling` bench can report the hoisted-vs-replicated
 /// comparison axis honestly, and so differential tests can pin that both
 /// designs produce identical match sets.
@@ -186,8 +181,9 @@ impl ReplicatedSharded {
     /// partitioned across `config.effective_shards()` full matchers.
     pub fn new(fixture: &Fixture, config: Config) -> Self {
         let shards_n = config.effective_shards();
+        let one_shard = config.with_shards(1);
         let shards: Vec<SToPSS> = (0..shards_n)
-            .map(|_| SToPSS::new(config, fixture.source.clone(), fixture.interner.clone()))
+            .map(|_| SToPSS::new(one_shard, fixture.source.clone(), fixture.interner.clone()))
             .collect();
         for sub in &fixture.subscriptions {
             shards[shard_of(sub.id(), shards_n)].subscribe(sub.clone());
@@ -461,9 +457,9 @@ mod tests {
     fn timed_batch_sweep_agrees_with_sequential_sweep() {
         let fixture = jobfinder_fixture(50, 50, 3);
         let config = Config::default().with_provenance(false).with_shards(4);
-        let single = matcher_for(&fixture, config);
+        let single = matcher_for(&fixture, config.with_shards(1));
         let sequential = timed_sweep(&single, &fixture.publications, 5);
-        let sharded = sharded_matcher_for(&fixture, config);
+        let sharded = matcher_for(&fixture, config);
         let batched = timed_batch_sweep(&sharded, &fixture.publications, 8, 5);
         assert_eq!(batched.matches, sequential.matches);
         assert_eq!(batched.derived_events, sequential.derived_events);
@@ -475,12 +471,12 @@ mod tests {
     fn barrier_sweep_agrees_with_pipelined_sweep() {
         let fixture = jobfinder_fixture(50, 80, 3);
         let config = Config::default().with_provenance(false).with_shards(4);
-        let single = matcher_for(&fixture, config);
+        let single = matcher_for(&fixture, config.with_shards(1));
         let sequential = timed_sweep(&single, &fixture.publications, 5);
         // Batch size above the pipeline chunk so publish_batch overlaps.
-        let pipelined = sharded_matcher_for(&fixture, config);
+        let pipelined = matcher_for(&fixture, config);
         let p = timed_batch_sweep(&pipelined, &fixture.publications, 40, 5);
-        let barrier = sharded_matcher_for(&fixture, config);
+        let barrier = matcher_for(&fixture, config);
         let b = timed_barrier_batch_sweep(&barrier, &fixture.publications, 40, 5);
         assert_eq!(p.matches, sequential.matches);
         assert_eq!(b.matches, sequential.matches);
@@ -493,7 +489,7 @@ mod tests {
     fn replicated_baseline_agrees_with_hoisted_sharded() {
         let fixture = jobfinder_fixture(60, 30, 3);
         let config = Config::default().with_provenance(false).with_shards(4);
-        let hoisted = sharded_matcher_for(&fixture, config);
+        let hoisted = matcher_for(&fixture, config);
         let mut replicated = ReplicatedSharded::new(&fixture, config);
         let want = hoisted.publish_batch(&fixture.publications);
         let got = replicated.publish_batch(&fixture.publications);

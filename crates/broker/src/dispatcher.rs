@@ -7,48 +7,31 @@
 //!
 //! # Epoch-snapshot control plane
 //!
-//! The matcher is a **plain field** — no broker-side lock at all. Both
-//! backends ([`SToPSS`] and [`ShardedSToPSS`]) keep their ontology,
-//! configuration and subscription index behind epoch-swapped immutable
-//! snapshots: every control-plane operation (`subscribe`, `unsubscribe`,
-//! `set_stages`, `reconfigure`, ontology replacement) forks the current
-//! snapshot aside, mutates the fork, and publishes it with one atomic
-//! pointer swap. Publishers resolve a snapshot, match against it, and are
-//! **never blocked** by control traffic; an in-flight publication simply
-//! finishes against the snapshot it started under. The former
-//! `RwLock<MatcherBackend>` + `matcher_epoch: AtomicU64` pair is gone —
-//! the epoch now lives *inside* the snapshot, so it is bumped by every
-//! front-end-invalidating mutation (not just `set_semantic_mode`, the
-//! old bug) and cannot drift from the state it guards.
+//! The matcher is a **plain field** — no broker-side lock at all.
+//! [`SToPSS`] keeps its ontology, configuration and (sharded)
+//! subscription index behind epoch-swapped immutable snapshots: every
+//! control-plane operation (`subscribe`, `unsubscribe`, `set_stages`,
+//! `reconfigure`, ontology replacement) forks the shard cores it touches,
+//! mutates the forks, and publishes a new snapshot with one atomic pointer
+//! swap. Publishers resolve a snapshot, match against it, and are **never
+//! blocked** by control traffic; an in-flight publication simply finishes
+//! against the snapshot it started under. The epoch lives *inside* the
+//! snapshot, so it is bumped by every front-end-invalidating mutation and
+//! cannot drift from the state it guards.
 //!
-//! [`Broker::publish_batch`] runs the two stages as a **pipeline**:
-//! stage 1 — the event-side semantic pass — needs only the immutable
-//! configuration/ontology/interner, so the broker detaches a
-//! [`stopss_core::SemanticFrontEnd`] handle (tagged with the snapshot's
-//! front-end epoch) and prepares the batch in chunks on a dedicated
-//! scoped worker that stays one chunk ahead; stage 2 — engine match +
-//! verify on the precomputed artifacts — runs against whatever snapshot
-//! is current, chunk by chunk. **"Stale"** now means: the front-end
-//! epoch tagged on the artifacts no longer equals the epoch of the
-//! snapshot the match stage resolved. The check and the match are atomic
-//! (`try_publish_prepared_batch` resolves *one* snapshot for both), so a
-//! concurrent reconfiguration either lands entirely before a chunk
-//! (stale artifacts are discarded and the chunk is republished from the
-//! raw events) or entirely after it — never mid-chunk.
+//! [`Broker::publish_batch`] is the matcher's own
+//! [`SToPSS::publish_batch`] — which pipelines the event-side semantic
+//! pass against shard matching and re-prepares any chunk a concurrent
+//! reconfiguration made stale — followed by the notify loop.
 //!
-//! When [`BrokerConfig::matcher`] asks for more than one shard, the broker
-//! runs over [`stopss_core::ShardedSToPSS`] instead of the single-threaded
-//! matcher, with byte-identical match sets and notifications. The backend
-//! kind is fixed at construction; [`Broker::reconfigure_matcher`] can
-//! reshard a sharded backend live but does not cross the enum boundary.
+//! [`BrokerConfig::matcher`] sets the shard count like every other matcher
+//! knob, and [`Broker::reconfigure_matcher`] changes it live, between one
+//! shard and many, with byte-identical match sets and notifications.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
-use stopss_types::sync::{mpsc, Arc, Mutex, RwLock};
+use stopss_types::sync::{Arc, Mutex, RwLock};
 
-use stopss_core::{
-    Config, Match, MatcherStats, PreparedEvent, SToPSS, SemanticFrontEnd, ShardedSToPSS, StageMask,
-    Tolerance, PIPELINE_CHUNK,
-};
+use stopss_core::{Config, Match, MatcherStats, SToPSS, StageMask, Tolerance};
 use stopss_ontology::SemanticSource;
 use stopss_types::{Event, FxHashMap, Predicate, SharedInterner, SubId, Subscription};
 
@@ -111,177 +94,12 @@ impl std::error::Error for BrokerError {}
 /// `with_inbox` constructors) so receivers survive restarts.
 pub type TransportFactory = Box<dyn Fn(u64) -> Vec<Box<dyn Transport>> + Send + Sync>;
 
-/// The matcher the broker runs over: single-threaded or sharded,
-/// selected by [`Config::shards`]. Both produce identical match sets and
-/// both run their own epoch-snapshot control plane, so every method —
-/// control ops included — takes `&self` and the broker needs no lock
-/// around the enum.
-enum MatcherBackend {
-    /// One monolithic engine (the seed architecture).
-    Single(SToPSS),
-    /// Hash-sharded engines with a scoped-thread worker pool.
-    Sharded(ShardedSToPSS),
-}
-
-impl MatcherBackend {
-    fn build(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
-        if config.effective_shards() > 1 {
-            MatcherBackend::Sharded(ShardedSToPSS::new(config, source, interner))
-        } else {
-            MatcherBackend::Single(SToPSS::new(config, source, interner))
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MatcherBackend::Single(m) => m.len(),
-            MatcherBackend::Sharded(m) => m.len(),
-        }
-    }
-
-    fn stats(&self) -> MatcherStats {
-        match self {
-            MatcherBackend::Single(m) => m.stats(),
-            MatcherBackend::Sharded(m) => m.stats(),
-        }
-    }
-
-    fn subscribe_with(&self, sub: Subscription, tolerance: Option<Tolerance>) {
-        match (self, tolerance) {
-            (MatcherBackend::Single(m), Some(t)) => {
-                m.subscribe_with_tolerance(sub, t);
-            }
-            (MatcherBackend::Single(m), None) => {
-                m.subscribe(sub);
-            }
-            (MatcherBackend::Sharded(m), Some(t)) => {
-                m.subscribe_with_tolerance(sub, t);
-            }
-            (MatcherBackend::Sharded(m), None) => {
-                m.subscribe(sub);
-            }
-        }
-    }
-
-    fn control_epoch(&self) -> u64 {
-        match self {
-            MatcherBackend::Single(m) => m.control_epoch(),
-            MatcherBackend::Sharded(m) => m.control_epoch(),
-        }
-    }
-
-    fn subscribe_batch(&self, subs: Vec<(Subscription, Option<Tolerance>)>) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.subscribe_batch(subs);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.subscribe_batch(subs);
-            }
-        }
-    }
-
-    fn unsubscribe(&self, id: SubId) -> bool {
-        match self {
-            MatcherBackend::Single(m) => m.unsubscribe(id).is_some(),
-            MatcherBackend::Sharded(m) => m.unsubscribe(id).is_some(),
-        }
-    }
-
-    fn publish(&self, event: &Event) -> Vec<Match> {
-        match self {
-            MatcherBackend::Single(m) => m.publish(event),
-            MatcherBackend::Sharded(m) => m.publish(event),
-        }
-    }
-
-    fn publish_batch(&self, events: &[Event]) -> Vec<Vec<Match>> {
-        match self {
-            MatcherBackend::Single(m) => m.publish_batch(events),
-            MatcherBackend::Sharded(m) => m.publish_batch(events),
-        }
-    }
-
-    /// The event-side semantic front-end handle (config snapshot + shared
-    /// ontology/interner + verification classes to warm), detachable so
-    /// batches can be prepared outside the matcher. Tagged with the
-    /// snapshot's front-end epoch — the staleness token checked by
-    /// [`MatcherBackend::try_publish_prepared_batch`].
-    fn frontend(&self) -> SemanticFrontEnd {
-        match self {
-            MatcherBackend::Single(m) => m.frontend(),
-            MatcherBackend::Sharded(m) => m.frontend(),
-        }
-    }
-
-    /// Publishes precomputed front-end artifacts if — and only if — the
-    /// front-end epoch they were prepared under still matches the current
-    /// snapshot's. The check and the match resolve the *same* snapshot,
-    /// so a racing control op can never slip between them. `None` means
-    /// the artifacts went stale and the caller must republish from the
-    /// raw events.
-    fn try_publish_prepared_batch(
-        &self,
-        prepared: &[PreparedEvent],
-        frontend_epoch: u64,
-    ) -> Option<Vec<Vec<Match>>> {
-        match self {
-            MatcherBackend::Single(m) => m
-                .try_publish_prepared_batch(prepared, frontend_epoch)
-                .map(|rs| rs.into_iter().map(|r| r.matches).collect()),
-            MatcherBackend::Sharded(m) => m
-                .try_publish_prepared_batch(prepared, frontend_epoch)
-                .map(|rs| rs.into_iter().map(|r| r.matches).collect()),
-        }
-    }
-
-    fn set_stages(&self, stages: StageMask) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.set_stages(stages);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.set_stages(stages);
-            }
-        }
-    }
-
-    fn reconfigure(&self, config: Config) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.reconfigure(config);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.reconfigure(config);
-            }
-        }
-    }
-
-    fn set_source(&self, source: Arc<dyn SemanticSource>) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.set_source(source);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.set_source(source);
-            }
-        }
-    }
-
-    fn source(&self) -> Arc<dyn SemanticSource> {
-        match self {
-            MatcherBackend::Single(m) => m.source(),
-            MatcherBackend::Sharded(m) => m.source(),
-        }
-    }
-}
-
 /// The publish/subscribe broker of the demonstration setup.
 pub struct Broker {
-    /// No lock: both backends swap immutable snapshots internally, so the
+    /// No lock: the matcher swaps immutable snapshots internally, so the
     /// publish path and every control op are `&self` and publishers never
     /// wait on subscription or configuration mutations.
-    matcher: MatcherBackend,
+    matcher: SToPSS,
     clients: RwLock<FxHashMap<ClientId, ClientInfo>>,
     sub_owner: RwLock<FxHashMap<SubId, ClientId>>,
     /// Read lock to enqueue; write lock only for the brief engine swap in
@@ -359,7 +177,7 @@ impl Broker {
         factory: TransportFactory,
     ) -> Broker {
         Broker {
-            matcher: MatcherBackend::build(config.matcher, source, interner.clone()),
+            matcher: SToPSS::new(config.matcher, source, interner.clone()),
             clients: RwLock::new(FxHashMap::default()),
             sub_owner: RwLock::new(FxHashMap::default()),
             notifier: RwLock::new(NotificationEngine::start(factory(0))),
@@ -447,16 +265,15 @@ impl Broker {
         // Owner first, matcher second: from the instant a publish can
         // match the subscription, its notifications are routable.
         self.sub_owner.write().insert(id, client);
-        self.matcher.subscribe_with(sub, tolerance);
+        self.matcher.subscribe_batch(vec![(sub, tolerance)]);
         Ok(id)
     }
 
     /// Registers a batch of subscriptions as **one** matcher control
     /// mutation: ownership is recorded per request, then every accepted
     /// subscription lands in the matcher through a single fork-and-swap
-    /// ([`SToPSS::subscribe_batch`] /
-    /// [`stopss_core::ShardedSToPSS::subscribe_batch`]) instead of one
-    /// copy-on-write fork per subscription. Results are positional: the
+    /// ([`SToPSS::subscribe_batch`]) instead of one copy-on-write fork per
+    /// subscription. Results are positional: the
     /// `k`-th entry answers the `k`-th request, and rejected requests
     /// (unknown client) consume neither a [`SubId`] nor matcher work. The
     /// networked event loop coalesces Subscribe frames per poll turn into
@@ -512,15 +329,17 @@ impl Broker {
         // to concurrent unsubscription and is *counted* by
         // `notify_matches` instead of skipped silently (see
         // [`Broker::orphaned_matches`]).
-        let existed = self.matcher.unsubscribe(sub);
+        let existed = self.matcher.unsubscribe(sub).is_some();
         self.sub_owner.write().remove(&sub);
         Ok(existed)
     }
 
     /// Removes every subscription owned by `client`, returning how many
-    /// were dropped. Same matcher-first ordering (and the same inherent
-    /// already-matched window, counted by [`Broker::orphaned_matches`])
-    /// as [`Broker::unsubscribe`]. This is the session-expiry path of the
+    /// were dropped. The matcher removes them all in one control mutation
+    /// ([`SToPSS::unsubscribe_batch`]: one fork per touched shard, one
+    /// epoch), with the same matcher-first ordering (and the same inherent
+    /// already-matched window, counted by [`Broker::orphaned_matches`]) as
+    /// [`Broker::unsubscribe`]. This is the session-expiry path of the
     /// networked broker: a session past its TTL surrenders its
     /// subscriptions instead of orphaning every future match.
     pub fn unsubscribe_all(&self, client: ClientId) -> usize {
@@ -530,9 +349,7 @@ impl Broker {
             .iter()
             .filter_map(|(sub, owner)| (*owner == client).then_some(*sub))
             .collect();
-        for sub in &owned {
-            self.matcher.unsubscribe(*sub);
-        }
+        self.matcher.unsubscribe_batch(&owned);
         let mut owners = self.sub_owner.write();
         for sub in &owned {
             owners.remove(sub);
@@ -553,86 +370,13 @@ impl Broker {
         matches.len()
     }
 
-    /// Publishes a batch of events through the two-stage pipeline,
-    /// enqueuing notifications exactly as [`Broker::publish`] would per
-    /// event. Returns the total number of matches across the batch.
-    ///
-    /// Stage 1 (the event-side semantic pass) runs on a detached
-    /// [`SemanticFrontEnd`] handle, one pipeline chunk ahead of stage 2
-    /// (engine match + verify on the precomputed artifacts) — so the
-    /// front-end prepares chunk *k+1* while the shards match chunk *k*,
-    /// and notifications for chunk *k* are enqueued before chunk *k+1*
-    /// matches. The artifacts carry the per-publication tier cache: with
-    /// provenance on, the classifier's tier closures are warmed in
-    /// stage 1, and so are the verification-class closures of every
-    /// registered non-system tolerance, so the match stage pays neither
-    /// the semantic closure nor any first-use class closure. If a control
-    /// op invalidated the front end while a chunk was in flight (the
-    /// handle's epoch tag no longer matches the live snapshot's), the
-    /// stale artifacts are discarded and that chunk is republished from
-    /// the raw events against the fresh snapshot.
+    /// Publishes a batch of events through the matcher's
+    /// [`SToPSS::publish_batch`] (pipelined across shards, self-healing
+    /// across concurrent reconfigurations), then enqueues notifications
+    /// exactly as [`Broker::publish`] would per event. Returns the total
+    /// number of matches across the batch.
     pub fn publish_batch(&self, events: &[Event]) -> usize {
-        if events.is_empty() {
-            return 0;
-        }
-        let (frontend, epoch) = self.frontend_snapshot();
-        // Mirror the sharded matcher's own gate: overlapping the stages
-        // costs a preparer thread, so single-chunk batches — and
-        // configurations without the budget or hardware for overlap —
-        // take the plain barrier instead.
-        if events.len() <= PIPELINE_CHUNK || !frontend.config().pipeline_overlap() {
-            let prepared = frontend.prepare_batch(events);
-            return self.match_and_notify(events, &prepared, epoch);
-        }
-        // Capacity 1: stage 1 stays exactly one chunk ahead of stage 2.
-        let (tx, rx) = mpsc::sync_channel::<Vec<PreparedEvent>>(1);
-        let frontend = &frontend;
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(move |_| {
-                for chunk in events.chunks(PIPELINE_CHUNK) {
-                    // The receiver only drops mid-batch if the match
-                    // stage panicked; stop preparing in that case.
-                    if tx.send(frontend.prepare_batch(chunk)).is_err() {
-                        break;
-                    }
-                }
-            });
-            let mut total = 0;
-            let mut offset = 0;
-            for prepared in rx {
-                let chunk = &events[offset..offset + prepared.len()];
-                offset += prepared.len();
-                total += self.match_and_notify(chunk, &prepared, epoch);
-            }
-            total
-        })
-        .expect("invariant: publish pipeline threads do not panic")
-    }
-
-    /// Snapshots the detached front-end handle and the front-end epoch it
-    /// was taken under (the staleness token for
-    /// [`Broker::match_and_notify`]). The epoch is read off the handle
-    /// itself — it is part of the matcher snapshot, so it can never
-    /// disagree with the configuration the handle carries.
-    fn frontend_snapshot(&self) -> (SemanticFrontEnd, u64) {
-        let frontend = self.matcher.frontend();
-        let epoch = frontend.epoch();
-        (frontend, epoch)
-    }
-
-    /// Stage 2 for one pipeline chunk: matches the precomputed artifacts
-    /// and enqueues notifications. The backend resolves one snapshot for
-    /// both the staleness check and the match: if the snapshot's
-    /// front-end epoch still equals `epoch`, the artifacts are valid for
-    /// it by construction; otherwise a control op (mode switch,
-    /// reconfiguration, ontology edit) invalidated them, and the chunk is
-    /// republished from the raw events against the fresh snapshot
-    /// instead.
-    fn match_and_notify(&self, events: &[Event], prepared: &[PreparedEvent], epoch: u64) -> usize {
-        let match_sets = match self.matcher.try_publish_prepared_batch(prepared, epoch) {
-            Some(sets) => sets,
-            None => self.matcher.publish_batch(events),
-        };
+        let match_sets = self.matcher.publish_batch(events);
         let mut total = 0;
         for (event, matches) in events.iter().zip(&match_sets) {
             self.notify_matches(event, matches);
@@ -679,11 +423,6 @@ impl Broker {
         self.orphaned_matches.load(Ordering::Relaxed)
     }
 
-    /// True if the broker runs over the sharded matcher backend.
-    pub fn is_sharded(&self) -> bool {
-        matches!(&self.matcher, MatcherBackend::Sharded(_))
-    }
-
     /// Switches between semantic and syntactic mode ("the application can
     /// run in two different modes", §4). The stage switch is a snapshot
     /// swap inside the matcher, which bumps the front-end epoch — any
@@ -706,12 +445,10 @@ impl Broker {
 
     /// Reconfigures the live matcher (engine, strategy, stages, shard
     /// count, …) between publications — subscriptions survive and are
-    /// re-indexed (and re-routed across shards on the sharded backend)
-    /// inside one snapshot swap. The broker's semantic flag and restore
-    /// mask track the new configuration, and the front-end epoch bump
-    /// makes every in-flight prepared chunk fall back to a fresh publish.
-    /// The backend kind (single vs. sharded) stays as constructed;
-    /// `config.shards` is honored live only by the sharded backend.
+    /// re-indexed (and re-routed when the shard count changes) inside one
+    /// snapshot swap. The broker's semantic flag and restore mask track
+    /// the new configuration, and the front-end epoch bump makes every
+    /// in-flight prepared chunk re-prepare against the new snapshot.
     pub fn reconfigure_matcher(&self, config: Config) {
         let mut flag = self.semantic.write();
         let semantic = !config.stages.is_syntactic();
@@ -740,7 +477,7 @@ impl Broker {
         self.matcher.source()
     }
 
-    /// Matcher counters (aggregated across shards for the sharded backend).
+    /// Matcher counters (identical for every shard count).
     pub fn matcher_stats(&self) -> MatcherStats {
         self.matcher.stats()
     }
@@ -810,6 +547,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stopss_core::{PreparedEvent, PIPELINE_CHUNK};
     use stopss_types::{Interner, Operator, SubscriptionBuilder};
     use stopss_workload::JobFinderDomain;
 
@@ -925,7 +663,7 @@ mod tests {
         let sharded_config =
             BrokerConfig { matcher: Config::default().with_shards(4), ..BrokerConfig::default() };
         let (broker, interner) = jobs_broker(sharded_config);
-        assert!(broker.is_sharded());
+        assert_eq!(broker.matcher.shard_count(), 4);
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
@@ -934,7 +672,7 @@ mod tests {
         assert_eq!(stats.get(TransportKind::Tcp).delivered, 1);
 
         let (single, _) = jobs_broker(BrokerConfig::default());
-        assert!(!single.is_sharded());
+        assert_eq!(single.matcher.shard_count(), 1);
         let _ = single.shutdown();
     }
 
@@ -971,13 +709,21 @@ mod tests {
         assert_eq!(broker.subscription_count(), 0);
     }
 
-    /// The stale path, forced deterministically: snapshot the front-end,
-    /// prepare artifacts, flip `set_semantic_mode` (which swaps in a new
-    /// matcher snapshot with a bumped front-end epoch), then run the match
-    /// stage with the stale handle's token. The guard must discard the
-    /// semantically-prepared artifacts and republish from the raw events —
-    /// equal to a fresh publish under the new configuration — rather than
-    /// match stale closures.
+    /// Total matches of a batch of prepared artifacts offered to the
+    /// matcher under `epoch`, or `None` if the matcher refuses them as
+    /// stale.
+    fn offer(broker: &Broker, prepared: &[PreparedEvent], epoch: u64) -> Option<usize> {
+        let results = broker.matcher.try_publish_prepared_batch(prepared, epoch)?;
+        Some(results.iter().map(|r| r.matches.len()).sum())
+    }
+
+    /// The stale path, forced deterministically: detach the matcher's
+    /// front end, prepare artifacts, flip `set_semantic_mode` (which swaps
+    /// in a new matcher snapshot with a bumped front-end epoch), then offer
+    /// the artifacts under the stale handle's token. The matcher must
+    /// refuse the semantically-prepared artifacts, and the broker's batch
+    /// path must match the raw events under the new configuration rather
+    /// than stale closures.
     #[test]
     fn stale_epoch_falls_back_to_fresh_publish() {
         for shards in [1usize, 4] {
@@ -990,28 +736,26 @@ mod tests {
             broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
             let events = vec![candidate_event(&interner); 3];
 
-            let (frontend, epoch) = broker.frontend_snapshot();
+            let frontend = broker.matcher.frontend();
             let prepared = frontend.prepare_batch(&events);
             // The artifacts would match semantically (the closure carries
             // the synonym-resolved pairs and the mapping-produced
             // experience); a broken guard would report 3 matches.
             broker.set_semantic_mode(false);
-            let stale = broker.match_and_notify(&events, &prepared, epoch);
             assert_eq!(
-                stale, 0,
-                "shards={shards}: stale semantic artifacts must be republished \
-                 under the syntactic configuration"
+                offer(&broker, &prepared, frontend.epoch()),
+                None,
+                "shards={shards}: stale semantic artifacts must be refused"
             );
-            assert_eq!(stale, broker.publish_batch(&events), "fallback equals a fresh publish");
+            assert_eq!(broker.publish_batch(&events), 0, "shards={shards}: syntactic batch");
 
-            // Restore semantic mode: a fresh snapshot + matching epoch
-            // takes the prepared-artifact path and finds the matches.
+            // Restore semantic mode: a fresh handle's artifacts are
+            // accepted and find the matches.
             broker.set_semantic_mode(true);
-            let (frontend, epoch) = broker.frontend_snapshot();
+            let frontend = broker.matcher.frontend();
             let prepared = frontend.prepare_batch(&events);
-            let fresh = broker.match_and_notify(&events, &prepared, epoch);
-            assert_eq!(fresh, 3, "shards={shards}");
-            assert_eq!(fresh, broker.publish_batch(&events), "prepared path equals fresh publish");
+            assert_eq!(offer(&broker, &prepared, frontend.epoch()), Some(3), "shards={shards}");
+            assert_eq!(broker.publish_batch(&events), 3, "prepared path equals fresh publish");
             let _ = broker.shutdown();
         }
     }
@@ -1022,8 +766,7 @@ mod tests {
     /// detached front ends stale without tripping the guard — prepared
     /// semantic artifacts would match against the new configuration. With
     /// the epoch inside the matcher snapshot, *every* invalidating
-    /// mutation bumps it; the stale chunk must fall back to a fresh
-    /// publish (0 matches under the syntactic config), not report 3.
+    /// mutation bumps it.
     #[test]
     fn stale_reconfigure_falls_back_to_fresh_publish() {
         for shards in [1usize, 4] {
@@ -1036,7 +779,7 @@ mod tests {
             broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
             let events = vec![candidate_event(&interner); 3];
 
-            let (frontend, epoch) = broker.frontend_snapshot();
+            let frontend = broker.matcher.frontend();
             let prepared = frontend.prepare_batch(&events);
             // Reconfigure — not set_semantic_mode — to the syntactic
             // stage mask. Pre-fix, this path never bumped the epoch.
@@ -1044,20 +787,20 @@ mod tests {
                 Config::default().with_shards(shards).with_stages(StageMask::syntactic()),
             );
             assert!(!broker.is_semantic(), "shards={shards}: flag tracks the new config");
-            let stale = broker.match_and_notify(&events, &prepared, epoch);
             assert_eq!(
-                stale, 0,
-                "shards={shards}: artifacts prepared before the reconfiguration \
-                 must be refused and republished under the new configuration"
+                offer(&broker, &prepared, frontend.epoch()),
+                None,
+                "shards={shards}: artifacts prepared before the reconfiguration must be refused"
             );
+            assert_eq!(broker.publish_batch(&events), 0, "shards={shards}: syntactic batch");
 
             // Reconfigure back to semantic: the restore mask follows, and
             // a fresh handle takes the prepared path again.
             broker.reconfigure_matcher(Config::default().with_shards(shards));
             assert!(broker.is_semantic(), "shards={shards}");
-            let (frontend, epoch) = broker.frontend_snapshot();
+            let frontend = broker.matcher.frontend();
             let prepared = frontend.prepare_batch(&events);
-            assert_eq!(broker.match_and_notify(&events, &prepared, epoch), 3, "shards={shards}");
+            assert_eq!(offer(&broker, &prepared, frontend.epoch()), Some(3), "shards={shards}");
             let _ = broker.shutdown();
         }
     }
@@ -1088,7 +831,7 @@ mod tests {
         }
         assert_eq!(broker.publish(&event), 0, "'academy' is not a known synonym yet");
 
-        let (frontend, epoch) = broker.frontend_snapshot();
+        let frontend = broker.matcher.frontend();
         let prepared = frontend.prepare_batch(std::slice::from_ref(&event));
 
         let mut evolved = base;
@@ -1097,32 +840,30 @@ mod tests {
 
         assert_eq!(broker.publish(&event), 1, "the live edit matches the next publication");
         // The pre-edit handle is stale: its artifacts (no closure through
-        // 'academy') must be discarded, and the fallback republish under
-        // the evolved ontology finds the match.
-        assert_eq!(
-            broker.match_and_notify(std::slice::from_ref(&event), &prepared, epoch),
-            1,
-            "stale pre-edit artifacts fall back to the evolved ontology"
-        );
+        // 'academy') must be refused, and a batch publish under the
+        // evolved ontology finds the match.
+        assert_eq!(offer(&broker, &prepared, frontend.epoch()), None, "pre-edit artifacts");
+        assert_eq!(broker.publish_batch(std::slice::from_ref(&event)), 1);
         let _ = broker.shutdown();
     }
 
-    /// Sharded backend: a live reshard through the broker preserves the
-    /// subscription set and keeps matching.
+    /// A live reshard through the broker across the former single/sharded
+    /// boundary: 1 → 4 → 1 shards. The subscription set survives each
+    /// change and keeps delivering.
     #[test]
     fn reconfigure_matcher_reshards_and_preserves_subscriptions() {
-        let config =
-            BrokerConfig { matcher: Config::default().with_shards(4), ..BrokerConfig::default() };
-        let (broker, interner) = jobs_broker(config);
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
-        broker.reconfigure_matcher(Config::default().with_shards(2));
-        assert!(broker.is_sharded(), "backend kind is fixed at construction");
-        assert_eq!(broker.subscription_count(), 1, "subscriptions survive the reshard");
-        assert_eq!(broker.publish(&candidate_event(&interner)), 1, "and still match");
+        for shards in [4usize, 1] {
+            broker.reconfigure_matcher(Config::default().with_shards(shards));
+            assert_eq!(broker.matcher.shard_count(), shards);
+            assert_eq!(broker.subscription_count(), 1, "shards={shards}: subscriptions survive");
+            assert_eq!(broker.publish(&candidate_event(&interner)), 1, "shards={shards}");
+        }
         let stats = broker.shutdown();
-        assert_eq!(stats.get(TransportKind::Tcp).delivered, 2);
+        assert_eq!(stats.get(TransportKind::Tcp).delivered, 3);
     }
 
     /// A match whose owner entry vanished between matching and

@@ -93,12 +93,15 @@ pub struct Config {
     /// oracle path selectable for differential tests and the
     /// cached-vs-oracle axis of the `semantic_overhead` bench.
     pub tier_cache: bool,
-    /// Number of subscription shards for [`crate::ShardedSToPSS`]
-    /// (subscriptions are partitioned by a hash of their [`stopss_types::SubId`];
-    /// each shard owns an independent engine). Ignored by the
-    /// single-threaded [`crate::SToPSS`]. Values below 1 mean 1.
+    /// Number of subscription shards of [`crate::SToPSS`] (subscriptions
+    /// are partitioned by a hash of their [`stopss_types::SubId`]; each
+    /// shard owns an independent engine). With one shard a publication
+    /// runs inline; with more, the shared front-end prepares it once and
+    /// the shards match it (see [`crate::sharded`]).
+    /// [`crate::SToPSS::reconfigure`] changes it live. Values below 1
+    /// mean 1.
     pub shards: usize,
-    /// Worker threads the sharded matcher's two pipeline stages run on:
+    /// Worker threads a sharded matcher's two pipeline stages run on:
     /// the shared semantic front-end chunks large batches across up to
     /// this many workers (further capped by the host's available
     /// parallelism), and shard matching fans out on the same budget.
@@ -200,12 +203,12 @@ impl Config {
         self
     }
 
-    /// The shard count [`crate::ShardedSToPSS`] will actually use.
+    /// The shard count [`crate::SToPSS`] will actually use.
     pub fn effective_shards(&self) -> usize {
         self.shards.max(1)
     }
 
-    /// The worker count the sharded matcher will actually use: one per
+    /// The worker count a sharded matcher will actually use: one per
     /// shard when `parallelism` is 0, otherwise clamped to the shard count.
     pub fn effective_parallelism(&self) -> usize {
         let shards = self.effective_shards();

@@ -7,14 +7,14 @@
 //! mean" frames exactly this split: semantic enrichment is a
 //! per-publication transform, matching is the per-subscription fan-out.
 //! This module computes that transform once, into a [`PreparedEvent`]
-//! artifact, so concurrent backends ([`crate::ShardedSToPSS`], the
-//! broker's batched publish path) hand shards only the engine-match +
-//! verify work instead of recomputing the closure per shard.
+//! artifact, so a sharded [`crate::SToPSS`] hands its shards only the
+//! engine-match + verify work instead of recomputing the closure per
+//! shard.
 //!
 //! [`SemanticFrontEnd`] is the detachable handle: a snapshot of the
 //! configuration plus shared ontology/interner references, cheap to clone
-//! out of a matcher so callers (e.g. the broker) can run the event-side
-//! pass detached from the matcher entirely — against one consistent
+//! out of a matcher so callers can run the event-side pass detached from
+//! the matcher entirely — against one consistent
 //! config/ontology snapshot, while control ops swap new snapshots in
 //! underneath (the epoch-snapshot control plane; staleness is caught by
 //! the `frontend_epoch` check at publish time).
@@ -405,9 +405,9 @@ fn min_hierarchy_distance(
 /// Computes the event-side semantic pass for `event` under `config`.
 ///
 /// This is the single source of truth for publication-side semantics:
-/// [`crate::SToPSS::publish_detailed`] runs it per publication, and
-/// [`crate::ShardedSToPSS`] runs it once per publication *before* fanning
-/// the matching out to shards. When the configuration tracks provenance
+/// a one-shard [`crate::SToPSS::publish_detailed`] runs its parts inline
+/// per publication, and a sharded matcher runs it once per publication
+/// *before* fanning the matching out to shards. When the configuration tracks provenance
 /// through the tier cache, the classifier tiers are warmed here — in the
 /// detached stage-1 pass — so shards never pay them.
 pub fn prepare_event(
@@ -436,12 +436,10 @@ pub fn prepare_event(
 /// configuration snapshot plus the shared ontology and interner, and the
 /// verification classes registered at snapshot time.
 ///
-/// Cloned out of a matcher (see [`crate::SToPSS::frontend`] /
-/// [`crate::ShardedSToPSS::frontend`]) so the publication-side pass can
-/// run detached from the matcher — the broker uses this to prepare whole
-/// batches ahead of dispatch, and the sharded matcher's pipelined
-/// `publish_batch` prepares chunk *k+1* on it while the shards match
-/// chunk *k*. It is a point-in-time snapshot: a control op that changes
+/// Cloned out of a matcher (see [`crate::SToPSS::frontend`]) so the
+/// publication-side pass can run detached from the matcher — a sharded
+/// matcher's pipelined `publish_batch` prepares chunk *k+1* on it while
+/// the shards match chunk *k*. It is a point-in-time snapshot: a control op that changes
 /// stages/config/ontology bumps `frontend_epoch`, and artifacts prepared
 /// on a stale handle are rejected at publish time and re-prepared.
 #[derive(Clone)]
@@ -485,8 +483,7 @@ impl SemanticFrontEnd {
 
     /// The front-end epoch of the matcher snapshot this handle was
     /// detached from — the staleness tag to pass back to
-    /// [`crate::SToPSS::try_publish_prepared_batch`] (or its sharded
-    /// counterpart).
+    /// [`crate::SToPSS::try_publish_prepared_batch`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -17,7 +17,9 @@
 //! * [`Strategy`] — three ways to drive the engine (paper-faithful event
 //!   materialization, flattened closure, subscription rewriting);
 //! * [`Tolerance`] / [`StageMask`] — the information-loss knob (§3.2);
-//! * [`SToPSS`] — the matcher: subscribe / publish / provenance;
+//! * [`SToPSS`] — the matcher: subscribe / publish / provenance, over
+//!   `Config::shards` hash-partitioned shard engines (one by default;
+//!   resharded live by [`SToPSS::reconfigure`]);
 //! * [`frontend`] — the shared event-side semantic pass:
 //!   [`prepare_event`] computes a [`PreparedEvent`] artifact (closure or
 //!   materialized derivation lattice + counters + the per-publication
@@ -25,11 +27,11 @@
 //!   classification) once per publication, and [`SemanticFrontEnd`] is
 //!   the detachable, epoch-stamped handle that runs it against one
 //!   consistent snapshot, fully decoupled from the matcher;
-//! * [`ShardedSToPSS`] — the same matcher partitioned across N
-//!   hash-sharded engines behind a two-stage pipeline (shared front-end,
-//!   then scoped-thread shard matching) with a batched
-//!   [`ShardedSToPSS::publish_batch`] API; results are byte-identical to
-//!   [`SToPSS`] (see `sharded` module docs for the argument);
+//! * [`sharded`] — shard routing and the two-stage fan-out behind a
+//!   matcher with more than one shard (shared front-end, then
+//!   scoped-thread shard matching, pipelined across chunks by
+//!   [`SToPSS::publish_batch`]); results are byte-identical for every
+//!   shard count (see the module docs for the argument);
 //! * [`oracle`] — the executable definition of semantic matching, used as
 //!   ground truth by the property tests.
 
@@ -56,7 +58,7 @@ pub use frontend::{
 pub use matcher::{MatcherStats, PublishResult, SToPSS};
 pub use oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 pub use provenance::{Match, MatchOrigin, OriginCounts};
-pub use sharded::{shard_of, ShardedSToPSS, PIPELINE_CHUNK};
+pub use sharded::{shard_of, PIPELINE_CHUNK};
 pub use strategy::{
     expand_subscription, materialize_closure, materialize_match, MaterializeOutcome,
     MaterializedEvents, RewriteExpansion,

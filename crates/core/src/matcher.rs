@@ -6,17 +6,23 @@
 //! subscriptions) and the resulting candidates are filtered by each
 //! subscriber's information-loss tolerance and annotated with provenance.
 //!
+//! Subscriptions are partitioned across `Config::shards` shard cores
+//! (one by default); see [`crate::sharded`] for the routing, the
+//! two-stage fan-out used when there is more than one shard, and the
+//! equivalence argument.
+//!
 //! # Epoch-snapshot control plane
 //!
-//! The matcher is split into an immutable snapshot (`MatcherCore`: the
-//! configuration, ontology handle, subscription table, and syntactic
-//! engine) behind an atomically swapped `Arc`, plus shared lifetime
-//! counters. The publish path resolves one snapshot `Arc` per publication
-//! and never takes a write lock; control-plane mutations (`subscribe`,
-//! `unsubscribe`, `set_stages`, `reconfigure`, `set_source`) serialize on
-//! a control mutex, *fork* the current snapshot off to the side, mutate
-//! the fork, and publish it with one pointer swap. In-flight publications
-//! finish against the epoch they started under.
+//! The matcher is split into an immutable snapshot (a `ShardSet`: the
+//! configuration, ontology handle and one `MatcherCore` — subscription
+//! table plus syntactic engine — per shard) behind an atomically swapped
+//! `Arc`, plus shared lifetime counters. The publish path resolves one
+//! snapshot `Arc` per publication and never takes a write lock;
+//! control-plane mutations (`subscribe`, `unsubscribe`, `set_stages`,
+//! `reconfigure`, `set_source`) serialize on a control mutex, *fork* the
+//! shard cores they touch off to the side, mutate the forks, and publish a
+//! new set with one pointer swap. In-flight publications finish against
+//! the epoch they started under.
 //!
 //! Two epochs live inside every snapshot, so a reader resolves state and
 //! version in a single `Arc`:
@@ -32,7 +38,7 @@
 use stopss_matching::MatchingEngine;
 use stopss_ontology::SemanticSource;
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
-use stopss_types::sync::{Arc, Mutex, RwLock};
+use stopss_types::sync::{mpsc, Arc, Mutex, RwLock};
 use stopss_types::{Event, FxHashMap, Interner, SharedInterner, SubId, Subscription};
 
 use std::borrow::Cow;
@@ -44,8 +50,9 @@ use crate::frontend::{
 };
 use crate::oracle::{classify_match, semantic_match};
 use crate::provenance::{Match, MatchOrigin};
+use crate::sharded::{ShardSet, PIPELINE_CHUNK};
 use crate::strategy::expand_subscription;
-use crate::tolerance::Tolerance;
+use crate::tolerance::{StageMask, Tolerance};
 
 /// Counters accumulated across the matcher's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,33 +75,15 @@ pub struct MatcherStats {
     pub rewrite_truncations: u64,
 }
 
-impl MatcherStats {
-    /// Adds every counter of `other` into `self`. The sharded matcher
-    /// aggregates with this: the shared front-end contributes the
-    /// event-side counters exactly once, shards contribute only
-    /// subscription-side counters, so a plain sum reproduces the
-    /// single-threaded numbers.
-    pub fn merge(&mut self, other: &MatcherStats) {
-        self.published += other.published;
-        self.derived_events += other.derived_events;
-        self.closure_pairs += other.closure_pairs;
-        self.truncations += other.truncations;
-        self.verifications += other.verifications;
-        self.verify_rejections += other.verify_rejections;
-        self.rewrite_truncations += other.rewrite_truncations;
-    }
-}
-
 /// The lifetime counters behind relaxed atomics, so the match path can
-/// accumulate under `&self` — concurrent publishers on one matcher (or
-/// shard workers on the sharded matcher's shared front-end counters) add
+/// accumulate under `&self` — concurrent publishers and shard workers add
 /// without any lock. Relaxed ordering suffices: counters are monotone
 /// sums with no cross-counter invariant read concurrently; snapshots
 /// taken between publications reproduce the single-threaded numbers
 /// exactly (atomic adds commute).
 ///
 /// The counters live *outside* the swapped snapshots, shared by every
-/// [`MatcherCore`] incarnation via `Arc`, so statistics survive
+/// shard core of every incarnation via `Arc`, so statistics survive
 /// control-plane swaps (and reshards) without a carry step.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
@@ -108,6 +97,21 @@ pub(crate) struct AtomicStats {
 }
 
 impl AtomicStats {
+    /// Accounts one publication's event-side counters — once per
+    /// publication, whichever path and however many shards matched it.
+    pub(crate) fn account(&self, derived_events: usize, closure_pairs: usize, truncated: bool) {
+        // ordering: monotone stats counters; atomic adds commute and no
+        // reader couples them to other memory.
+        self.published.fetch_add(1, Ordering::Relaxed);
+        if truncated {
+            // ordering: monotone stats counter, as above.
+            self.truncations.fetch_add(1, Ordering::Relaxed);
+        }
+        // ordering: monotone stats counters, as above.
+        self.derived_events.fetch_add(derived_events as u64, Ordering::Relaxed);
+        self.closure_pairs.fetch_add(closure_pairs as u64, Ordering::Relaxed);
+    }
+
     /// A plain-value snapshot of every counter.
     pub(crate) fn snapshot(&self) -> MatcherStats {
         // ordering: monotone lifetime counters with no cross-counter
@@ -193,21 +197,22 @@ struct MatchScratch {
 /// The per-publication mutable state of the match path: the syntactic
 /// engine (its trait allows interior scratch, so `match_event` takes
 /// `&mut self`) and the candidate scratch vectors. Bundled behind one
-/// `Mutex` so [`MatcherCore::match_prepared_inner`] can run under `&self`
-/// — the matching stage locks once per artifact, and since shards
-/// partition subscriptions the lock is uncontended in the sharded
-/// fan-out. This is the *data-plane* mutex; control-plane mutations never
-/// touch it except to fork the engine.
+/// `Mutex` so [`MatcherCore::match_inner`] can run under `&self` — the
+/// matching stage locks once per artifact, and since shards partition
+/// subscriptions the lock is uncontended in the shard fan-out. This is
+/// the *data-plane* mutex; control-plane mutations never touch it except
+/// to fork the engine.
 struct MatchState {
     engine: Box<dyn MatchingEngine>,
     scratch: MatchScratch,
 }
 
-/// One immutable incarnation of the matcher: configuration, ontology
-/// handle, subscription table, engine, and the two epochs. Snapshots are
-/// never mutated after publication — control ops [`MatcherCore::fork`] a
-/// copy, mutate it exclusively, and swap it in. Readers that hold an
-/// `Arc<MatcherCore>` observe a frozen, internally consistent matcher.
+/// One immutable incarnation of one shard: configuration, ontology
+/// handle, subscription table and engine. Cores are never mutated after
+/// publication — control ops [`MatcherCore::fork`] a copy, mutate it
+/// exclusively, and swap it in as part of a new shard set. Readers that
+/// hold an `Arc<MatcherCore>` observe a frozen, internally consistent
+/// shard.
 pub(crate) struct MatcherCore {
     pub(crate) config: Config,
     pub(crate) source: Arc<dyn SemanticSource>,
@@ -222,10 +227,6 @@ pub(crate) struct MatcherCore {
     /// `frontend()` can hand the detached stage-1 pass the exact class set
     /// to warm (see [`SemanticFrontEnd`]).
     verify_classes: FxHashMap<Tolerance, usize>,
-    /// Bumped by every control mutation (linearization token).
-    pub(crate) control_epoch: u64,
-    /// Bumped by mutations that invalidate detached front-end artifacts.
-    pub(crate) frontend_epoch: u64,
 }
 
 impl MatcherCore {
@@ -248,8 +249,6 @@ impl MatcherCore {
             next_engine_id: 1,
             stats,
             verify_classes: FxHashMap::default(),
-            control_epoch: 0,
-            frontend_epoch: 0,
         }
     }
 
@@ -257,7 +256,7 @@ impl MatcherCore {
     /// engine via [`MatchingEngine::boxed_clone`], subscription entries by
     /// `Arc`) into a free-standing core the caller may mutate exclusively
     /// before swapping it in. The fork shares the lifetime counters with
-    /// its parent, and starts with `control_epoch` already bumped.
+    /// its parent.
     pub(crate) fn fork(&self) -> MatcherCore {
         MatcherCore {
             state: Mutex::new(MatchState {
@@ -272,8 +271,6 @@ impl MatcherCore {
             next_engine_id: self.next_engine_id,
             stats: self.stats.clone(),
             verify_classes: self.verify_classes.clone(),
-            control_epoch: self.control_epoch + 1,
-            frontend_epoch: self.frontend_epoch,
         }
     }
 
@@ -304,13 +301,9 @@ impl MatcherCore {
         out
     }
 
-    pub(crate) fn verify_classes(&self) -> Vec<Tolerance> {
-        self.verify_classes.keys().copied().collect()
-    }
-
     /// Appends this core's verification classes to `out`, skipping ones
-    /// already present — lets the sharded matcher build the cross-shard
-    /// union with a single allocation per snapshot (class sets are tiny,
+    /// already present — builds the cross-shard union with a single
+    /// allocation per snapshot (class sets are tiny,
     /// so the linear dedup beats hashing).
     pub(crate) fn verify_classes_into(&self, out: &mut Vec<Tolerance>) {
         for class in self.verify_classes.keys() {
@@ -318,10 +311,6 @@ impl MatcherCore {
                 out.push(*class);
             }
         }
-    }
-
-    pub(crate) fn subscribe(&mut self, sub: Subscription) {
-        self.subscribe_with_tolerance(sub, self.config.system_tolerance());
     }
 
     pub(crate) fn subscribe_with_tolerance(&mut self, sub: Subscription, tolerance: Tolerance) {
@@ -419,15 +408,13 @@ impl MatcherCore {
         true
     }
 
-    pub(crate) fn set_stages(&mut self, stages: crate::tolerance::StageMask) {
+    pub(crate) fn set_stages(&mut self, stages: StageMask) {
         self.config.stages = stages;
-        self.frontend_epoch += 1;
         self.rebuild();
     }
 
     pub(crate) fn reconfigure(&mut self, config: Config) {
         self.config = config;
-        self.frontend_epoch += 1;
         self.state.get_mut().engine = self.config.engine.build();
         self.engine_to_user.clear();
         self.rebuild_entries();
@@ -438,7 +425,6 @@ impl MatcherCore {
     /// expansions depend on the ontology.
     pub(crate) fn set_source(&mut self, source: Arc<dyn SemanticSource>) {
         self.source = source;
-        self.frontend_epoch += 1;
         self.rebuild();
     }
 
@@ -462,31 +448,20 @@ impl MatcherCore {
         }
     }
 
-    /// A detachable front-end handle for this snapshot, tagged with its
-    /// `frontend_epoch` so artifacts it prepares can later be checked for
-    /// staleness.
-    pub(crate) fn frontend(&self) -> SemanticFrontEnd {
-        SemanticFrontEnd::new(self.config, self.source.clone(), self.interner.clone())
-            .with_verify_classes(self.verify_classes())
-            .with_epoch(self.frontend_epoch)
-    }
-
-    pub(crate) fn publish_inner(&self, event_raw: &Event, interner: &Interner) -> PublishResult {
-        // ordering: monotone stats counters (here and below); atomic adds
-        // commute and no reader couples them to other memory.
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        // `prepare_parts` (not `prepare_event`) so the inline path keeps
-        // borrowing the caller's event instead of cloning it into a
-        // detached artifact; the tier cache is a fresh per-publication
-        // local, filled lazily only if candidates need it.
+    /// The one-shard inline publish: accounts the event-side counters and
+    /// matches, stamping the result with `epoch`. `prepare_parts` (not
+    /// `prepare_event`) so the inline path keeps borrowing the caller's
+    /// event instead of cloning it into a detached artifact; the tier
+    /// cache is a fresh per-publication local, filled lazily only if
+    /// candidates need it.
+    pub(crate) fn publish_inner(
+        &self,
+        event_raw: &Event,
+        interner: &Interner,
+        epoch: u64,
+    ) -> PublishResult {
         let parts = prepare_parts(event_raw, self.source.as_ref(), &self.config, interner);
-        if parts.truncated {
-            // ordering: monotone stats counters, as above.
-            self.stats.truncations.fetch_add(1, Ordering::Relaxed);
-        }
-        // ordering: monotone stats counters, as above.
-        self.stats.derived_events.fetch_add(parts.derived_events as u64, Ordering::Relaxed);
-        self.stats.closure_pairs.fetch_add(parts.closure_pairs as u64, Ordering::Relaxed);
+        self.stats.account(parts.derived_events, parts.closure_pairs, parts.truncated);
         let tiers = TierCache::new();
         self.match_inner(
             &parts.engine_events,
@@ -494,38 +469,23 @@ impl MatcherCore {
             (parts.derived_events, parts.closure_pairs, parts.truncated),
             &tiers,
             interner,
+            epoch,
         )
     }
 
-    /// Accounts the event-side counters a prepared artifact carries, then
-    /// matches it.
-    pub(crate) fn publish_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
-        // ordering: monotone stats counters; atomic adds commute and no
-        // reader couples them to other memory.
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        if prepared.truncated {
-            // ordering: monotone stats counters, as above.
-            self.stats.truncations.fetch_add(1, Ordering::Relaxed);
-        }
-        // ordering: monotone stats counters, as above.
-        self.stats.derived_events.fetch_add(prepared.derived_events as u64, Ordering::Relaxed);
-        self.stats.closure_pairs.fetch_add(prepared.closure_pairs as u64, Ordering::Relaxed);
-        self.match_prepared(prepared)
-    }
-
-    pub(crate) fn match_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
-        let interner = self.interner.clone();
-        interner.with(|i| self.match_prepared_inner(prepared, i))
-    }
-
-    fn match_prepared_inner(&self, prepared: &PreparedEvent, interner: &Interner) -> PublishResult {
-        self.match_inner(
-            &prepared.engine_events,
-            &prepared.raw,
-            (prepared.derived_events, prepared.closure_pairs, prepared.truncated),
-            &prepared.tiers,
-            interner,
-        )
+    /// Matches a prepared artifact (subscription-side counters only),
+    /// stamping the result with `epoch`.
+    pub(crate) fn match_prepared(&self, prepared: &PreparedEvent, epoch: u64) -> PublishResult {
+        self.interner.with(|i| {
+            self.match_inner(
+                &prepared.engine_events,
+                &prepared.raw,
+                (prepared.derived_events, prepared.closure_pairs, prepared.truncated),
+                &prepared.tiers,
+                i,
+                epoch,
+            )
+        })
     }
 
     /// The subscription-side half shared by every publish entry point:
@@ -544,14 +504,10 @@ impl MatcherCore {
         (derived_events, closure_pairs, truncated): (usize, usize, bool),
         tiers: &TierCache,
         interner: &Interner,
+        epoch: u64,
     ) -> PublishResult {
-        let mut result = PublishResult {
-            matches: Vec::new(),
-            derived_events,
-            closure_pairs,
-            truncated,
-            epoch: self.control_epoch,
-        };
+        let mut result =
+            PublishResult { matches: Vec::new(), derived_events, closure_pairs, truncated, epoch };
         // One lock per publication: engine and scratch are used together
         // for the whole matching pass.
         let mut state = self.state.lock();
@@ -642,48 +598,56 @@ impl MatcherCore {
 
 /// The semantic publish/subscribe matcher.
 ///
-/// The whole publish path ([`SToPSS::publish`], [`SToPSS::match_prepared`],
-/// …) takes `&self` and never blocks on control-plane mutations: each
-/// publication resolves one immutable snapshot (`MatcherCore`) and
-/// matches against it. Control ops (`subscribe`, `unsubscribe`,
-/// `set_stages`, `reconfigure`, `set_source`) also take `&self`: they
-/// serialize among themselves on a control mutex, build the next snapshot
-/// off to the side, and swap it in atomically — publishers racing a
-/// mutation finish against whichever epoch they resolved. Every control
-/// op returns the `control_epoch` it created (see [`PublishResult::epoch`]
-/// for the read side of the linearization token).
+/// Subscriptions are partitioned across `Config::shards` shards (one by
+/// default, and [`SToPSS::reconfigure`] reshards live). The whole publish
+/// path ([`SToPSS::publish`], [`SToPSS::match_prepared`], …) takes
+/// `&self` and never blocks on control-plane mutations: each publication
+/// resolves one immutable snapshot and matches against it. Control ops
+/// (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`,
+/// `set_source`) also take `&self`: they serialize among themselves on a
+/// control mutex, build the next snapshot off to the side — forking only
+/// the shard cores they touch — and swap it in atomically; publishers
+/// racing a mutation finish against whichever epoch they resolved. Every
+/// control op returns the `control_epoch` it created (see
+/// [`PublishResult::epoch`] for the read side of the linearization
+/// token).
 pub struct SToPSS {
     interner: SharedInterner,
-    stats: Arc<AtomicStats>,
     /// The current snapshot. The lock is held only long enough to clone
     /// (readers) or store (the control plane) the `Arc` — never across
     /// matching or snapshot construction.
-    snapshot: RwLock<Arc<MatcherCore>>,
+    snapshot: RwLock<Arc<ShardSet>>,
     /// Serializes control-plane mutations; the publish path never touches
     /// it.
     control: Mutex<()>,
 }
 
 impl SToPSS {
-    /// Creates a matcher over `source` using `interner` for all terms.
+    /// Creates a matcher with `config.effective_shards()` shards over
+    /// `source`, using `interner` for all terms.
     pub fn new(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
         let stats = Arc::new(AtomicStats::default());
-        let core = MatcherCore::new(config, source, interner.clone(), stats.clone());
-        SToPSS { interner, stats, snapshot: RwLock::new(Arc::new(core)), control: Mutex::new(()) }
+        let set = ShardSet::new(config, source, interner.clone(), stats);
+        SToPSS { interner, snapshot: RwLock::new(Arc::new(set)), control: Mutex::new(()) }
     }
 
     /// Resolves the current snapshot (one brief read lock, one `Arc`
-    /// clone). The returned core is immutable and internally consistent.
-    fn resolve(&self) -> Arc<MatcherCore> {
+    /// clone). The returned set is immutable and internally consistent.
+    fn resolve(&self) -> Arc<ShardSet> {
         self.snapshot.read().clone()
     }
 
-    /// Runs one control mutation: serialize, fork the current snapshot,
-    /// mutate the fork, swap. Returns the new control epoch.
-    fn mutate(&self, f: impl FnOnce(&mut MatcherCore)) -> u64 {
+    /// Runs one control mutation: serialize, build the next set from the
+    /// current one, swap. Returns the new control epoch.
+    fn mutate(&self, f: impl FnOnce(&ShardSet) -> ShardSet) -> u64 {
         let _control = self.control.lock();
-        let mut next = self.resolve().fork();
-        f(&mut next);
+        let next = f(&self.resolve());
+        self.swap(next)
+    }
+
+    /// Publishes `next` as the current snapshot; returns its control
+    /// epoch. The caller holds the control lock.
+    fn swap(&self, next: ShardSet) -> u64 {
         let epoch = next.control_epoch;
         *self.snapshot.write() = Arc::new(next);
         epoch
@@ -704,9 +668,15 @@ impl SToPSS {
         self.resolve().source.clone()
     }
 
-    /// Lifetime statistics (a snapshot of the atomic counters).
+    /// Lifetime statistics (a snapshot of the atomic counters), identical
+    /// for every shard count (see [`crate::sharded`]).
     pub fn stats(&self) -> MatcherStats {
-        self.stats.snapshot()
+        self.resolve().stats.snapshot()
+    }
+
+    /// Number of shards of the current snapshot.
+    pub fn shard_count(&self) -> usize {
+        self.resolve().shards.len()
     }
 
     /// The control epoch of the current snapshot (bumped by every control
@@ -724,15 +694,15 @@ impl SToPSS {
 
     /// The distinct verification classes ([`Tolerance::verify_class`])
     /// among registered subscriptions whose effective tolerance differs
-    /// from the system-wide one. Snapshot at subscribe time; the detached
-    /// front-end warms exactly these classes in stage 1 so the first
-    /// publication after a subscribe does not pay the class closure under
-    /// the shard fan-out (or the broker's matcher lock).
+    /// from the system-wide one, across all shards. Snapshot at subscribe
+    /// time; the detached front-end warms exactly these classes in stage 1
+    /// so the first publication after a subscribe does not pay the class
+    /// closure inside the shard fan-out.
     pub fn verify_classes(&self) -> Vec<Tolerance> {
         self.resolve().verify_classes()
     }
 
-    /// Number of user subscriptions.
+    /// Number of user subscriptions across all shards.
     pub fn len(&self) -> usize {
         self.resolve().len()
     }
@@ -744,31 +714,24 @@ impl SToPSS {
 
     /// The original subscription registered under `id`.
     pub fn subscription(&self, id: SubId) -> Option<Subscription> {
-        self.resolve().subscription(id).cloned()
+        self.resolve().shard(id).subscription(id).cloned()
     }
 
     /// The effective (clamped) tolerance of subscription `id`.
     pub fn tolerance(&self, id: SubId) -> Option<Tolerance> {
-        self.resolve().tolerance(id)
+        self.resolve().shard(id).tolerance(id)
     }
 
     /// The tolerance subscription `id` originally asked for (before
     /// clamping to the system configuration).
     pub fn requested_tolerance(&self, id: SubId) -> Option<Tolerance> {
-        self.resolve().requested_tolerance(id)
-    }
-
-    /// Clones out every registered subscription with its *requested*
-    /// tolerance, sorted by id. Used by the sharded matcher to
-    /// redistribute subscriptions when the shard count changes.
-    pub fn subscriptions_with_tolerances(&self) -> Vec<(Subscription, Tolerance)> {
-        self.resolve().subscriptions_with_tolerances()
+        self.resolve().shard(id).requested_tolerance(id)
     }
 
     /// Registers a subscription with the system-wide tolerance. Returns
     /// the control epoch the registration created.
     pub fn subscribe(&self, sub: Subscription) -> u64 {
-        self.mutate(|core| core.subscribe(sub))
+        self.mutate(|cur| cur.subscribed([(sub, None)]))
     }
 
     /// Registers a subscription with a subscriber-specific tolerance
@@ -776,12 +739,13 @@ impl SToPSS {
     /// semantics, never into more than the system allows). Returns the
     /// control epoch the registration created.
     pub fn subscribe_with_tolerance(&self, sub: Subscription, tolerance: Tolerance) -> u64 {
-        self.mutate(|core| core.subscribe_with_tolerance(sub, tolerance))
+        self.mutate(|cur| cur.subscribed([(sub, Some(tolerance))]))
     }
 
     /// Registers a whole batch of subscriptions (each with an optional
-    /// subscriber tolerance) as **one** control mutation: one fork, one
-    /// snapshot swap, one epoch bump — the per-subscription cost of the
+    /// subscriber tolerance) as **one** control mutation: each touched
+    /// shard is forked exactly once, and one snapshot swap publishes the
+    /// batch under one epoch bump — the per-subscription cost of the
     /// copy-on-write control plane is paid once per batch instead of once
     /// per subscription. Connection-scale subscribers (the networked
     /// broker's event loop coalesces Subscribe frames per poll turn) would
@@ -792,44 +756,39 @@ impl SToPSS {
         if subs.is_empty() {
             return self.control_epoch();
         }
-        self.mutate(|core| {
-            for (sub, tolerance) in subs {
-                match tolerance {
-                    Some(t) => core.subscribe_with_tolerance(sub, t),
-                    None => core.subscribe(sub),
-                }
-            }
-        })
+        self.mutate(|cur| cur.subscribed(subs))
     }
 
     /// Removes a subscription; returns the control epoch of the removal,
     /// or `None` if no such subscription existed (no snapshot is
     /// published in that case).
     pub fn unsubscribe(&self, id: SubId) -> Option<u64> {
+        self.unsubscribe_batch(&[id])
+    }
+
+    /// Removes a batch of subscriptions as **one** control mutation — the
+    /// mirror of [`SToPSS::subscribe_batch`]: each touched shard is forked
+    /// once, one swap, one epoch bump. Ids that are not registered are
+    /// skipped; returns `None` (and publishes nothing) if none is.
+    pub fn unsubscribe_batch(&self, ids: &[SubId]) -> Option<u64> {
         let _control = self.control.lock();
-        let cur = self.resolve();
-        if !cur.contains(id) {
-            return None;
-        }
-        let mut next = cur.fork();
-        next.remove_entry(id);
-        let epoch = next.control_epoch;
-        *self.snapshot.write() = Arc::new(next);
-        Some(epoch)
+        let next = self.resolve().unsubscribed(ids)?;
+        Some(self.swap(next))
     }
 
     /// Switches the enabled stages (the demo's semantic/syntactic mode
     /// switch) and rebuilds every engine subscription accordingly.
     /// Returns the control epoch of the switch.
-    pub fn set_stages(&self, stages: crate::tolerance::StageMask) -> u64 {
-        self.mutate(|core| core.set_stages(stages))
+    pub fn set_stages(&self, stages: StageMask) -> u64 {
+        self.mutate(|cur| cur.with_stages(stages))
     }
 
-    /// Replaces the configuration (engine, strategy, stages, …) and
-    /// rebuilds all engine state from the stored original subscriptions.
-    /// Returns the control epoch of the swap.
+    /// Replaces the configuration (engine, strategy, stages, shard count,
+    /// …) and rebuilds all engine state from the stored original
+    /// subscriptions; a changed shard count redistributes them. Lifetime
+    /// statistics survive. Returns the control epoch of the swap.
     pub fn reconfigure(&self, config: Config) -> u64 {
-        self.mutate(|core| core.reconfigure(config))
+        self.mutate(|cur| cur.reconfigured(config))
     }
 
     /// Swaps the semantic knowledge source — live ontology evolution: new
@@ -838,10 +797,11 @@ impl SToPSS {
     /// publications finish against the ontology they resolved. Returns
     /// the control epoch of the swap.
     pub fn set_source(&self, source: Arc<dyn SemanticSource>) -> u64 {
-        self.mutate(|core| core.set_source(source))
+        self.mutate(|cur| cur.with_source(source))
     }
 
-    /// Publishes an event, returning the matched subscriptions.
+    /// Publishes an event, returning the matched subscriptions ordered by
+    /// `SubId`.
     pub fn publish(&self, event: &Event) -> Vec<Match> {
         self.publish_detailed(event).matches
     }
@@ -850,26 +810,98 @@ impl SToPSS {
     /// The result's `epoch` names the snapshot the publication matched
     /// against.
     pub fn publish_detailed(&self, event: &Event) -> PublishResult {
-        let core = self.resolve();
-        let interner = self.interner.clone();
-        interner.with(|i| core.publish_inner(event, i))
+        self.resolve().publish(event)
     }
 
-    /// Publishes a batch of events sequentially, returning the match set
-    /// of each. Mirrors [`crate::ShardedSToPSS::publish_batch`] so callers
-    /// can swap matchers without changing call sites. Each event resolves
-    /// its own snapshot, so control ops interleave at event granularity.
+    /// Publishes a batch of events and returns the match set of each, in
+    /// order.
     pub fn publish_batch(&self, events: &[Event]) -> Vec<Vec<Match>> {
-        events.iter().map(|e| self.publish(e)).collect()
+        self.publish_batch_detailed(events).into_iter().map(|r| r.matches).collect()
+    }
+
+    /// Publishes a batch of events, returning the detailed result of each.
+    ///
+    /// With one shard each event is published inline and resolves its own
+    /// snapshot. With more, batches larger than one pipeline chunk run the
+    /// two stages as a **true pipeline**: a dedicated scoped worker
+    /// prepares chunk *k+1* on the shared front-end (which itself chunks
+    /// large chunks across the pool) while the shards match chunk *k*. A
+    /// bounded channel (capacity 1) keeps the preparer exactly one chunk
+    /// ahead. Small batches — and configurations without the worker budget
+    /// or the hardware for overlap ([`Config::pipeline_overlap`]) — fall
+    /// back to the plain barrier (prepare everything, then match
+    /// everything), which is observably identical: chunking never crosses
+    /// an event boundary, artifacts are position-stable, and the
+    /// event-side counters commute (relaxed atomic sums).
+    ///
+    /// Each chunk resolves its own snapshot at match time, so control ops
+    /// racing a long batch interleave at chunk granularity; a chunk whose
+    /// artifacts were prepared under a now-stale front end (a concurrent
+    /// `set_stages`/`reconfigure`/`set_source`) is re-prepared against the
+    /// snapshot it is about to match — publishers self-heal instead of
+    /// blocking.
+    pub fn publish_batch_detailed(&self, events: &[Event]) -> Vec<PublishResult> {
+        let start = self.resolve();
+        if start.shards.len() == 1 {
+            return events.iter().map(|e| self.publish_detailed(e)).collect();
+        }
+        let frontend = start.frontend();
+        if events.len() <= PIPELINE_CHUNK || !start.config.pipeline_overlap() {
+            return self.match_chunk(events, frontend.prepare_batch(events), frontend.epoch());
+        }
+        // Capacity 1: the preparer may finish chunk k+1 while chunk k is
+        // being matched, then blocks — stage 1 never runs more than one
+        // chunk ahead of stage 2.
+        let (tx, rx) = mpsc::sync_channel::<Vec<PreparedEvent>>(1);
+        let frontend = &frontend;
+        crossbeam::thread::scope(|scope| {
+            scope.spawn(move |_| {
+                for chunk in events.chunks(PIPELINE_CHUNK) {
+                    // The receiver only drops mid-batch on a match-stage
+                    // panic; stop preparing in that case.
+                    if tx.send(frontend.prepare_batch(chunk)).is_err() {
+                        break;
+                    }
+                }
+            });
+            let mut results = Vec::with_capacity(events.len());
+            let mut offset = 0usize;
+            for prepared in rx {
+                let chunk = &events[offset..offset + prepared.len()];
+                offset += prepared.len();
+                results.extend(self.match_chunk(chunk, prepared, frontend.epoch()));
+            }
+            results
+        })
+        .expect("invariant: pipeline scope threads do not panic")
+    }
+
+    /// Matches one chunk against a freshly resolved snapshot, re-preparing
+    /// the artifacts first if the front end they came from has gone stale.
+    /// The staleness check and the match read the *same* snapshot, so a
+    /// racing control op lands entirely before or entirely after the
+    /// chunk — never inside it.
+    fn match_chunk(
+        &self,
+        events: &[Event],
+        prepared: Vec<PreparedEvent>,
+        prepared_epoch: u64,
+    ) -> Vec<PublishResult> {
+        let set = self.resolve();
+        let prepared = if set.frontend_epoch == prepared_epoch {
+            prepared
+        } else {
+            set.frontend().prepare_batch(events)
+        };
+        set.publish_prepared(&prepared)
     }
 
     /// A detachable handle on this matcher's event-side semantic machinery
     /// (configuration snapshot + shared ontology/interner + the registered
     /// verification classes to warm), tagged with the snapshot's
     /// `frontend_epoch`. Lets callers run [`SemanticFrontEnd::prepare`]
-    /// without borrowing the matcher — the broker prepares whole batches
-    /// concurrently with control-plane traffic and checks the tag at match
-    /// time (see [`SToPSS::try_publish_prepared_batch`]).
+    /// without borrowing the matcher, and check the tag at match time (see
+    /// [`SToPSS::try_publish_prepared_batch`]).
     pub fn frontend(&self) -> SemanticFrontEnd {
         self.resolve().frontend()
     }
@@ -877,25 +909,22 @@ impl SToPSS {
     /// Runs the event-side semantic pass for one publication (closure or
     /// event materialization) without touching the engine or any stats.
     pub fn prepare(&self, event: &Event) -> PreparedEvent {
-        let core = self.resolve();
-        self.interner.with(|i| prepare_event(event, core.source.as_ref(), &core.config, i))
+        let set = self.resolve();
+        self.interner.with(|i| prepare_event(event, set.source.as_ref(), &set.config, i))
     }
 
     /// The subscription-side half of a publication: feeds the prepared
-    /// artifact's engine events to the syntactic engine, verifies
-    /// per-subscription tolerances, and classifies provenance.
+    /// artifact's engine events to every shard's syntactic engine,
+    /// verifies per-subscription tolerances, and classifies provenance.
     ///
-    /// Takes `&self`: the engine + scratch state is locked per artifact
-    /// and the counters are atomics, so concurrent shard workers (or the
-    /// broker's match stage) can call this without an exclusive borrow.
-    /// Only the subscription-side counters (`verifications`,
-    /// `verify_rejections`) accumulate here; the event-side counters
-    /// belong to whoever ran the front-end pass (see
-    /// [`SToPSS::publish_prepared`] and the sharded matcher). The
-    /// artifact must have been prepared under this matcher's current
-    /// configuration.
+    /// Takes `&self`: each shard's engine + scratch state is locked per
+    /// artifact and the counters are atomics. Only the subscription-side
+    /// counters (`verifications`, `verify_rejections`) accumulate here;
+    /// the event-side counters belong to whoever ran the front-end pass
+    /// (see [`SToPSS::publish_prepared`]). The artifact must have been
+    /// prepared under this matcher's current configuration.
     pub fn match_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
-        self.resolve().match_prepared(prepared)
+        self.resolve().match_one(prepared)
     }
 
     /// Publishes a precomputed artifact: accounts the event-side counters
@@ -903,6 +932,19 @@ impl SToPSS {
     /// `publish_detailed(&prepared.raw)` when the artifact came from this
     /// matcher's [`SToPSS::frontend`].
     pub fn publish_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
+        let set = self.resolve();
+        set.stats.account(prepared.derived_events, prepared.closure_pairs, prepared.truncated);
+        set.match_one(prepared)
+    }
+
+    /// The matching stage for a batch of precomputed artifacts: accounts
+    /// their event-side counters and matches them against the current
+    /// snapshot. Combined with `frontend().prepare_batch()` this is the
+    /// *barrier* composition of the two stages — the reference the
+    /// pipelined [`SToPSS::publish_batch`] is differentially tested (and
+    /// benchmarked) against. Callers racing the control plane should use
+    /// [`SToPSS::try_publish_prepared_batch`] instead.
+    pub fn publish_prepared_batch(&self, prepared: &[PreparedEvent]) -> Vec<PublishResult> {
         self.resolve().publish_prepared(prepared)
     }
 
@@ -920,11 +962,8 @@ impl SToPSS {
         prepared: &[PreparedEvent],
         frontend_epoch: u64,
     ) -> Option<Vec<PublishResult>> {
-        let core = self.resolve();
-        if core.frontend_epoch != frontend_epoch {
-            return None;
-        }
-        Some(prepared.iter().map(|p| core.publish_prepared(p)).collect())
+        let set = self.resolve();
+        (set.frontend_epoch == frontend_epoch).then(|| set.publish_prepared(prepared))
     }
 }
 
@@ -1191,6 +1230,25 @@ mod tests {
         );
     }
 
+    /// The pipelined batch path self-heals: a chunk whose artifacts were
+    /// prepared before a front-end-invalidating op is re-prepared against
+    /// the snapshot it matches, never matched stale.
+    #[test]
+    fn stale_chunk_is_reprepared_against_the_live_snapshot() {
+        let w = world();
+        let matcher = SToPSS::new(Config::default().with_shards(4), w.source, w.interner);
+        matcher.subscribe(w.sub);
+        let events = vec![w.event; 3];
+        let frontend = matcher.frontend();
+        let fresh = matcher.match_chunk(&events, frontend.prepare_batch(&events), frontend.epoch());
+        assert!(fresh.iter().all(|r| r.matches.len() == 1), "fresh artifacts match");
+        let prepared = frontend.prepare_batch(&events);
+        let epoch = matcher.set_stages(StageMask::syntactic());
+        let healed = matcher.match_chunk(&events, prepared, frontend.epoch());
+        assert!(healed.iter().all(|r| r.matches.is_empty()), "stale artifacts are re-prepared");
+        assert!(healed.iter().all(|r| r.epoch == epoch), "matched against the live snapshot");
+    }
+
     /// Live ontology evolution: a synonym added after subscribe takes
     /// effect via `set_source` without re-registering subscriptions.
     #[test]
@@ -1222,7 +1280,7 @@ mod tests {
         let before = matcher.resolve();
         matcher.set_stages(StageMask::syntactic());
         // The retired snapshot still matches semantically.
-        let result = matcher.interner.with(|i| before.publish_inner(&w.event, i));
+        let result = before.publish(&w.event);
         assert_eq!(result.matches.len(), 1);
         assert_eq!(result.epoch, 1);
         // The current snapshot is syntactic.

@@ -1,9 +1,14 @@
-//! Sharded concurrent matching with a shared semantic front-end.
+//! The shard set behind [`crate::SToPSS`]: subscription routing, the
+//! immutable snapshot a publication matches against, and the shard
+//! fan-out with its deterministic merge.
 //!
-//! [`ShardedSToPSS`] partitions subscriptions across N shards by a hash of
-//! their [`SubId`]; each shard owns a complete matcher core (and therefore
-//! an independent [`stopss_matching::MatchingEngine`]). A publication
-//! flows through a **two-stage pipeline**:
+//! Subscriptions are partitioned across `Config::shards` shards by a hash
+//! of their [`SubId`] ([`shard_of`]); each shard owns a complete matcher
+//! core (and therefore an independent [`stopss_matching::MatchingEngine`]).
+//! With one shard — the default — a publication runs the core's inline
+//! path: borrow the event, fill the tier cache lazily, no thread, no
+//! merge. With more, a publication flows through a **two-stage
+//! pipeline**:
 //!
 //! 1. **Shared semantic front-end** — the event-side pass (synonym
 //!    canonicalization, hierarchy/mapping closure, or event
@@ -11,549 +16,215 @@
 //!    [`crate::SemanticFrontEnd`], producing a [`PreparedEvent`] artifact.
 //!    With provenance on, the provenance classifier's tier closures are
 //!    warmed here too, and so are the verification-class closures of every
-//!    registered non-system tolerance. For batches the front-end itself
-//!    chunks events across the scoped worker pool.
+//!    registered non-system tolerance.
 //! 2. **Shard matching** — every shard receives only the engine-match +
 //!    verify work on the precomputed artifact, fanned out on crossbeam
 //!    scoped worker threads. The artifact's [`crate::TierCache`] is shared
-//!    read-only across the concurrent shards: per-candidate tolerance
-//!    verification and provenance classification read the same
-//!    per-publication closures instead of each shard re-deriving them per
-//!    candidate inside its partition.
+//!    read-only across the concurrent shards.
 //!
-//! # Epoch-snapshot control plane
+//! Per-shard match sets are merged sorted by `SubId`, so matches,
+//! provenance, ordering and [`crate::MatcherStats`] are byte-identical for
+//! every shard count. The S-ToPSS paper treats the syntactic engine as a
+//! black box precisely so the semantic layer can scale this way: semantic
+//! enrichment is a per-publication transform (independent of which
+//! subscriptions a shard holds), matching is the per-subscription
+//! fan-out. `tests/sharded_differential.rs` pins the equivalence against
+//! independent one-shard matchers and the semantic oracle.
 //!
-//! The shard vector lives inside one immutable `ShardSet` snapshot
-//! behind an atomically swapped `Arc` — a *consistent cut* across all
-//! shards. Control ops (`subscribe`, `unsubscribe`, `set_stages`,
-//! `reconfigure`, `set_source`) serialize on a control mutex, fork only
-//! the shard(s) they touch (copy-on-write via
-//! [`stopss_matching::MatchingEngine::boxed_clone`]), and publish a whole
-//! new set with one pointer swap. Publishers resolve one set per
-//! publication (per pipeline chunk for batches) and never block on the
-//! control plane; swapping the *set* rather than individual shards is what
-//! makes interleaved runs linearizable — a publication can never observe
+//! # Snapshots
+//!
+//! A `ShardSet` is a *consistent cut* across all shards: configuration,
+//! ontology handle, shard cores and the two epochs. Control ops build the
+//! next set aside, forking only the shard cores they touch (copy-on-write
+//! via [`stopss_matching::MatchingEngine::boxed_clone`]), and the matcher
+//! publishes it with one pointer swap — a publication can never observe
 //! shard A after a mutation but shard B before it.
 //!
-//! Like the single matcher, the set carries two epochs: `control_epoch`
-//! (bumped by every mutation; returned by control ops and stamped on every
-//! [`PublishResult`] as the linearization token) and `frontend_epoch`
-//! (bumped only by `set_stages`/`reconfigure`/`set_source`, the mutations
-//! that invalidate detached front-end artifacts). "Stale" therefore means
-//! exactly: the artifact's front-end tag no longer equals the resolved
-//! set's `frontend_epoch`. The pipelined `publish_batch` self-heals mid
-//! batch — a chunk whose artifacts went stale is re-prepared against the
-//! set it is about to match — and the broker's barrier path gets the same
-//! atomicity via [`ShardedSToPSS::try_publish_prepared_batch`].
+//! # Stats
 //!
-//! The whole match path takes `&self`: shards keep their per-publication
-//! mutable state (engine + scratch) behind interior mutability and the
-//! counters are relaxed atomics, so stage 1 and stage 2 can run
-//! concurrently. [`ShardedSToPSS::publish_batch`] exploits that with
-//! **cross-batch pipelining**: the batch is cut into chunks and the
-//! front-end prepares chunk *k+1* on a dedicated scoped worker while the
-//! shards match chunk *k* — a true pipeline instead of the former
-//! prepare-everything-then-match-everything barrier (the barrier remains
-//! reachable as `frontend().prepare_batch()` + `publish_prepared_batch()`,
-//! and the `sharding_scaling` bench carries the pipelined-vs-barrier
-//! comparison axis).
-//!
-//! Per-shard match sets are merged deterministically (sorted by `SubId`),
-//! so the result — matches, provenance, ordering, and aggregated
-//! [`MatcherStats`] — is byte-identical to the single-threaded matcher.
-//! The S-ToPSS paper treats the syntactic engine as a black box precisely
-//! so the semantic layer can scale this way: semantic enrichment is a
-//! per-publication transform (independent of which subscriptions a shard
-//! holds), matching is the per-subscription fan-out.
-//!
-//! # Stats aggregation
-//!
-//! The shared front-end accumulates the event-side counters (`published`,
-//! `derived_events`, `closure_pairs`, `truncations`) exactly once per
-//! publication; shard cores accumulate only subscription-side counters
-//! (`verifications`, `verify_rejections`, `rewrite_truncations`) into one
-//! shared atomic block. Both blocks live *outside* the swapped snapshots,
-//! so statistics survive control-plane swaps and reshards without a carry
-//! step, and a plain sum reproduces the single-threaded numbers exactly.
-//! The differential suite in `tests/sharded_differential.rs` pins this
-//! equivalence across every engine × strategy × stage-mask combination.
+//! Every core of every set shares one block of relaxed atomic counters.
+//! The event-side counters (`published`, `derived_events`,
+//! `closure_pairs`, `truncations`) are accounted once per publication —
+//! by the inline path, or by the set before it fans an artifact out — and
+//! shard cores add only subscription-side counters, so statistics survive
+//! swaps and reshards without a carry step.
 
 use stopss_ontology::SemanticSource;
-use stopss_types::sync::atomic::Ordering;
-use stopss_types::sync::{mpsc, Arc, Mutex, RwLock};
+use stopss_types::sync::Arc;
 use stopss_types::{fx_hash_one, Event, SharedInterner, SubId, Subscription};
 
 use crate::config::Config;
 use crate::frontend::{PreparedEvent, SemanticFrontEnd};
-use crate::matcher::{AtomicStats, MatcherCore, MatcherStats, PublishResult};
-use crate::provenance::Match;
-use crate::tolerance::Tolerance;
+use crate::matcher::{AtomicStats, MatcherCore, PublishResult};
+use crate::tolerance::{StageMask, Tolerance};
 
-/// Publications per pipeline chunk of [`ShardedSToPSS::publish_batch`]:
+/// Publications per pipeline chunk of [`crate::SToPSS::publish_batch`]:
 /// the granularity at which stage 1 (front-end preparation) of chunk
 /// *k+1* overlaps stage 2 (shard matching) of chunk *k*. Large enough
 /// that the front-end's own batch chunking can still engage inside one
 /// chunk; small enough that a typical large batch yields several chunks
-/// to overlap. Exported so the broker's publish pipeline chunks at the
-/// same granularity (one constant, two call sites).
+/// to overlap.
 pub const PIPELINE_CHUNK: usize = 32;
 
 /// The shard a subscription id is routed to, out of `shards`.
 ///
 /// Stable across processes and platforms (Fx mix over the raw id), so
-/// fixtures, golden tests and replicated brokers agree on placement.
+/// fixtures, golden tests and replicated references agree on placement.
 pub fn shard_of(id: SubId, shards: usize) -> usize {
     debug_assert!(shards > 0);
     (fx_hash_one(&id.0) % shards as u64) as usize
 }
 
-/// One immutable incarnation of the sharded matcher: the configuration,
-/// ontology handle, every shard core, and the two epochs — the consistent
-/// cut a publication matches against.
-struct ShardSet {
-    config: Config,
-    source: Arc<dyn SemanticSource>,
-    shards: Vec<Arc<MatcherCore>>,
+/// One immutable incarnation of the matcher: the configuration, ontology
+/// handle, every shard core, and the two epochs — the consistent cut a
+/// publication matches against.
+pub(crate) struct ShardSet {
+    pub(crate) config: Config,
+    pub(crate) source: Arc<dyn SemanticSource>,
+    interner: SharedInterner,
+    pub(crate) stats: Arc<AtomicStats>,
+    pub(crate) shards: Vec<Arc<MatcherCore>>,
     /// Bumped by every control mutation (linearization token).
-    control_epoch: u64,
+    pub(crate) control_epoch: u64,
     /// Bumped by mutations that invalidate detached front-end artifacts.
-    frontend_epoch: u64,
+    pub(crate) frontend_epoch: u64,
 }
 
 impl ShardSet {
-    /// A detachable front-end for this set, carrying the union of the
-    /// shards' registered verification classes and the set's front-end
-    /// epoch tag.
-    fn frontend(&self, interner: &SharedInterner) -> SemanticFrontEnd {
-        let mut classes: Vec<Tolerance> = Vec::new();
-        for shard in &self.shards {
-            shard.verify_classes_into(&mut classes);
-        }
-        SemanticFrontEnd::new(self.config, self.source.clone(), interner.clone())
-            .with_verify_classes(classes)
-            .with_epoch(self.frontend_epoch)
-    }
-}
-
-/// A sharded, concurrent semantic matcher with the same observable
-/// behaviour as [`crate::SToPSS`].
-///
-/// Subscriptions are partitioned by [`shard_of`]; publications run the
-/// shared semantic front-end once, then fan out to all shards in parallel
-/// (scoped worker threads, at most [`Config::effective_parallelism`] of
-/// them) and merge into one ordered match set. Control ops take `&self`
-/// and swap immutable `ShardSet` snapshots; publishers never block on
-/// them. See the module docs for the two-stage pipeline, the epoch-swap
-/// semantics, and the equivalence argument.
-pub struct ShardedSToPSS {
-    interner: SharedInterner,
-    /// The current consistent cut. Held only long enough to clone
-    /// (readers) or store (the control plane) the `Arc`.
-    snapshot: RwLock<Arc<ShardSet>>,
-    /// Serializes control-plane mutations; the publish path never touches
-    /// it.
-    control: Mutex<()>,
-    /// Event-side counters from the shared front-end pass (shards only
-    /// ever see subscription-side work, so these accumulate here, once
-    /// per publication). Relaxed atomics so the `&self` match path can
-    /// account them while another pipeline chunk is in flight.
-    event_stats: Arc<AtomicStats>,
-    /// Subscription-side counters, shared by every shard core across
-    /// every snapshot incarnation (so reshards need no carry step).
-    sub_stats: Arc<AtomicStats>,
-}
-
-impl ShardedSToPSS {
-    /// Creates a matcher with `config.effective_shards()` shards over
-    /// `source`, using `interner` for all terms.
-    pub fn new(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
-        let sub_stats = Arc::new(AtomicStats::default());
-        let shards = (0..config.effective_shards())
-            .map(|_| {
-                Arc::new(MatcherCore::new(
-                    config,
-                    source.clone(),
-                    interner.clone(),
-                    sub_stats.clone(),
-                ))
-            })
-            .collect();
-        ShardedSToPSS {
+    /// An empty set with `config.effective_shards()` shards.
+    pub(crate) fn new(
+        config: Config,
+        source: Arc<dyn SemanticSource>,
+        interner: SharedInterner,
+        stats: Arc<AtomicStats>,
+    ) -> Self {
+        let mut set = ShardSet {
+            config,
+            source,
             interner,
-            snapshot: RwLock::new(Arc::new(ShardSet {
-                config,
-                source,
-                shards,
-                control_epoch: 0,
-                frontend_epoch: 0,
-            })),
-            control: Mutex::new(()),
-            event_stats: Arc::new(AtomicStats::default()),
-            sub_stats,
-        }
+            stats,
+            shards: Vec::new(),
+            control_epoch: 0,
+            frontend_epoch: 0,
+        };
+        set.shards = set.empty_cores(config).into_iter().map(Arc::new).collect();
+        set
     }
 
-    /// Resolves the current consistent cut (one brief read lock, one
-    /// `Arc` clone).
-    fn resolve(&self) -> Arc<ShardSet> {
-        self.snapshot.read().clone()
+    fn empty_cores(&self, config: Config) -> Vec<MatcherCore> {
+        (0..config.effective_shards())
+            .map(|_| {
+                MatcherCore::new(
+                    config,
+                    self.source.clone(),
+                    self.interner.clone(),
+                    self.stats.clone(),
+                )
+            })
+            .collect()
     }
 
-    /// The interner shared with publishers/subscribers.
-    pub fn interner(&self) -> &SharedInterner {
-        &self.interner
+    /// The index of the shard `id` is (or would be) routed to.
+    pub(crate) fn route(&self, id: SubId) -> usize {
+        shard_of(id, self.shards.len())
     }
 
-    /// The active configuration (of the current snapshot).
-    pub fn config(&self) -> Config {
-        self.resolve().config
-    }
-
-    /// The semantic knowledge source (of the current snapshot).
-    pub fn source(&self) -> Arc<dyn SemanticSource> {
-        self.resolve().source.clone()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.resolve().shards.len()
-    }
-
-    /// The shard subscription `id` is (or would be) routed to.
-    pub fn shard_for(&self, id: SubId) -> usize {
-        shard_of(id, self.shard_count())
-    }
-
-    /// The control epoch of the current snapshot (bumped by every control
-    /// mutation).
-    pub fn control_epoch(&self) -> u64 {
-        self.resolve().control_epoch
-    }
-
-    /// The front-end epoch of the current snapshot (bumped by mutations
-    /// that invalidate detached front-end artifacts).
-    pub fn frontend_epoch(&self) -> u64 {
-        self.resolve().frontend_epoch
-    }
-
-    /// A detachable handle on the shared semantic front-end (see
-    /// [`SemanticFrontEnd`]): the stage every publication passes through
-    /// exactly once before shard matching. Carries the union of the
-    /// shards' registered verification classes (so stage 1 warms them
-    /// alongside the classifier tiers) and the snapshot's front-end epoch
-    /// tag for staleness checks.
-    pub fn frontend(&self) -> SemanticFrontEnd {
-        self.resolve().frontend(&self.interner)
-    }
-
-    /// Aggregated lifetime statistics, identical to what a single
-    /// [`crate::SToPSS`] over the same inputs would report (see module
-    /// docs).
-    pub fn stats(&self) -> MatcherStats {
-        let mut agg = self.event_stats.snapshot();
-        agg.merge(&self.sub_stats.snapshot());
-        agg
+    /// The shard core `id` is (or would be) routed to.
+    pub(crate) fn shard(&self, id: SubId) -> &MatcherCore {
+        &self.shards[self.route(id)]
     }
 
     /// Number of user subscriptions across all shards.
-    pub fn len(&self) -> usize {
-        self.resolve().shards.iter().map(|s| s.len()).sum()
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
-    /// True if no subscriptions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The original subscription registered under `id`.
-    pub fn subscription(&self, id: SubId) -> Option<Subscription> {
-        let set = self.resolve();
-        set.shards[shard_of(id, set.shards.len())].subscription(id).cloned()
-    }
-
-    /// The effective (clamped) tolerance of subscription `id`.
-    pub fn tolerance(&self, id: SubId) -> Option<Tolerance> {
-        let set = self.resolve();
-        set.shards[shard_of(id, set.shards.len())].tolerance(id)
-    }
-
-    /// Registers a subscription with the system-wide tolerance. Returns
-    /// the control epoch the registration created.
-    pub fn subscribe(&self, sub: Subscription) -> u64 {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        let tolerance = cur.config.system_tolerance();
-        self.swap_subscribed(&cur, sub, tolerance)
-    }
-
-    /// Registers a subscription with a subscriber-specific tolerance.
-    /// Returns the control epoch the registration created.
-    pub fn subscribe_with_tolerance(&self, sub: Subscription, tolerance: Tolerance) -> u64 {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        self.swap_subscribed(&cur, sub, tolerance)
-    }
-
-    /// Forks the one shard `sub` routes to, registers it there, and swaps
-    /// in the new set. Caller holds the control lock.
-    fn swap_subscribed(&self, cur: &ShardSet, sub: Subscription, tolerance: Tolerance) -> u64 {
-        let idx = shard_of(sub.id(), cur.shards.len());
-        let mut shards = cur.shards.clone();
-        let mut core = shards[idx].fork();
-        core.subscribe_with_tolerance(sub, tolerance);
-        shards[idx] = Arc::new(core);
-        self.swap(ShardSet {
-            config: cur.config,
-            source: cur.source.clone(),
-            shards,
-            control_epoch: cur.control_epoch + 1,
-            frontend_epoch: cur.frontend_epoch,
-        })
-    }
-
-    /// Registers a whole batch of subscriptions (each with an optional
-    /// subscriber tolerance) as **one** control mutation: each touched
-    /// shard is forked exactly once, all subscriptions land on their
-    /// forks, and a single snapshot swap publishes the batch under one
-    /// control-epoch bump. Untouched shards keep their existing `Arc`s.
-    /// Connection-scale subscribers would otherwise pay one fork+swap per
-    /// subscription (O(N²) across N subscriptions); the networked broker's
-    /// event loop relies on this to coalesce Subscribe frames per poll
-    /// turn. An empty batch publishes nothing and returns the current
-    /// control epoch.
-    pub fn subscribe_batch(&self, subs: Vec<(Subscription, Option<Tolerance>)>) -> u64 {
-        if subs.is_empty() {
-            return self.control_epoch();
+    /// The union of the shards' registered verification classes.
+    pub(crate) fn verify_classes(&self) -> Vec<Tolerance> {
+        let mut classes = Vec::new();
+        for shard in &self.shards {
+            shard.verify_classes_into(&mut classes);
         }
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        let mut shards = cur.shards.clone();
-        let mut forked: Vec<Option<MatcherCore>> = (0..shards.len()).map(|_| None).collect();
-        for (sub, tolerance) in subs {
-            let idx = shard_of(sub.id(), shards.len());
-            let core = forked[idx].get_or_insert_with(|| shards[idx].fork());
-            let tolerance = tolerance.unwrap_or_else(|| cur.config.system_tolerance());
-            core.subscribe_with_tolerance(sub, tolerance);
+        classes
+    }
+
+    /// A detachable front-end for this set, carrying the union of the
+    /// shards' registered verification classes and the set's front-end
+    /// epoch tag.
+    pub(crate) fn frontend(&self) -> SemanticFrontEnd {
+        SemanticFrontEnd::new(self.config, self.source.clone(), self.interner.clone())
+            .with_verify_classes(self.verify_classes())
+            .with_epoch(self.frontend_epoch)
+    }
+
+    /// Publishes one event. One shard runs the core's inline path
+    /// (borrowed event, lazy tier cache); several prepare one shared
+    /// artifact and fan it out.
+    pub(crate) fn publish(&self, event: &Event) -> PublishResult {
+        if let [only] = self.shards.as_slice() {
+            return self.interner.with(|i| only.publish_inner(event, i, self.control_epoch));
         }
-        for (idx, core) in forked.into_iter().enumerate() {
-            if let Some(core) = core {
-                shards[idx] = Arc::new(core);
-            }
-        }
-        self.swap(ShardSet {
-            config: cur.config,
-            source: cur.source.clone(),
-            shards,
-            control_epoch: cur.control_epoch + 1,
-            frontend_epoch: cur.frontend_epoch,
-        })
+        let prepared = self.frontend().prepare(event);
+        self.stats.account(prepared.derived_events, prepared.closure_pairs, prepared.truncated);
+        self.match_one(&prepared)
     }
 
-    /// Stores the next snapshot; returns its control epoch.
-    fn swap(&self, next: ShardSet) -> u64 {
-        let epoch = next.control_epoch;
-        *self.snapshot.write() = Arc::new(next);
-        epoch
-    }
-
-    /// Removes a subscription; returns the control epoch of the removal,
-    /// or `None` if no such subscription existed.
-    pub fn unsubscribe(&self, id: SubId) -> Option<u64> {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        let idx = shard_of(id, cur.shards.len());
-        if !cur.shards[idx].contains(id) {
-            return None;
-        }
-        let mut shards = cur.shards.clone();
-        let mut core = shards[idx].fork();
-        core.remove_entry(id);
-        shards[idx] = Arc::new(core);
-        Some(self.swap(ShardSet {
-            config: cur.config,
-            source: cur.source.clone(),
-            shards,
-            control_epoch: cur.control_epoch + 1,
-            frontend_epoch: cur.frontend_epoch,
-        }))
-    }
-
-    /// Publishes one event, returning the matched subscriptions ordered by
-    /// `SubId` — the same order the single-threaded matcher produces.
-    pub fn publish(&self, event: &Event) -> Vec<Match> {
-        self.publish_detailed(event).matches
-    }
-
-    /// Publishes one event, returning matches plus processing counters.
-    pub fn publish_detailed(&self, event: &Event) -> PublishResult {
-        self.publish_batch_detailed(std::slice::from_ref(event))
-            .pop()
-            .expect("invariant: one event in, one result out")
-    }
-
-    /// Publishes a batch of events through the two-stage pipeline and
-    /// returns the match set of each event in order.
-    pub fn publish_batch(&self, events: &[Event]) -> Vec<Vec<Match>> {
-        self.publish_batch_detailed(events).into_iter().map(|r| r.matches).collect()
-    }
-
-    /// Publishes a batch of events, returning the detailed result of each.
-    ///
-    /// Batches larger than one pipeline chunk run the two stages as a
-    /// **true pipeline**: a dedicated scoped worker prepares chunk *k+1*
-    /// on the shared front-end (which itself chunks large chunks across
-    /// the pool) while the shards match chunk *k*. A bounded channel
-    /// (capacity 1) keeps the preparer exactly one chunk ahead. Small
-    /// batches — and configurations without the worker budget or the
-    /// hardware for overlap ([`Config::pipeline_overlap`]) — fall back
-    /// to the plain barrier (prepare everything, then match everything),
-    /// which is observably identical: chunking never crosses an event
-    /// boundary, artifacts are position-stable, and the event-side
-    /// counters commute (relaxed atomic sums).
-    ///
-    /// Each chunk resolves its own `ShardSet` at match time, so control
-    /// ops racing a long batch interleave at chunk granularity; a chunk
-    /// whose artifacts were prepared under a now-stale front end (a
-    /// concurrent `set_stages`/`reconfigure`/`set_source`) is re-prepared
-    /// against the set it is about to match — publishers self-heal
-    /// instead of blocking.
-    pub fn publish_batch_detailed(&self, events: &[Event]) -> Vec<PublishResult> {
-        if events.is_empty() {
-            return Vec::new();
-        }
-        let start = self.resolve();
-        let frontend = start.frontend(&self.interner);
-        if events.len() <= PIPELINE_CHUNK || !start.config.pipeline_overlap() {
-            let prepared = frontend.prepare_batch(events);
-            return self.match_chunk(events, prepared, frontend.epoch());
-        }
-        // Capacity 1: the preparer may finish chunk k+1 while chunk k is
-        // being matched, then blocks — stage 1 never runs more than one
-        // chunk ahead of stage 2.
-        let (tx, rx) = mpsc::sync_channel::<Vec<PreparedEvent>>(1);
-        let frontend = &frontend;
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(move |_| {
-                for chunk in events.chunks(PIPELINE_CHUNK) {
-                    // The receiver only drops mid-batch on a match-stage
-                    // panic; stop preparing in that case.
-                    if tx.send(frontend.prepare_batch(chunk)).is_err() {
-                        break;
-                    }
-                }
-            });
-            let mut results = Vec::with_capacity(events.len());
-            let mut offset = 0usize;
-            for prepared in rx {
-                let chunk = &events[offset..offset + prepared.len()];
-                offset += prepared.len();
-                results.extend(self.match_chunk(chunk, prepared, frontend.epoch()));
-            }
-            results
-        })
-        .expect("invariant: pipeline scope threads do not panic")
-    }
-
-    /// Matches one chunk against a freshly resolved set, re-preparing the
-    /// artifacts first if the front end they came from has gone stale.
-    /// The staleness check and the match read the *same* snapshot, so a
-    /// racing control op lands entirely before or entirely after the
-    /// chunk — never inside it.
-    fn match_chunk(
-        &self,
-        events: &[Event],
-        prepared: Vec<PreparedEvent>,
-        prepared_epoch: u64,
-    ) -> Vec<PublishResult> {
-        let set = self.resolve();
-        let prepared = if set.frontend_epoch == prepared_epoch {
-            prepared
-        } else {
-            set.frontend(&self.interner).prepare_batch(events)
-        };
-        self.match_prepared_on(&set, &prepared)
-    }
-
-    /// The matching stage: publishes precomputed front-end artifacts.
-    ///
     /// Accounts the event-side counters the artifacts carry (once per
-    /// publication), fans the engine-match + verify work out to the
-    /// shards, and merges per-shard results sorted by `SubId`. The
-    /// artifacts must have been prepared under this matcher's current
-    /// configuration (see [`ShardedSToPSS::frontend`]) — callers racing
-    /// the control plane should use
-    /// [`ShardedSToPSS::try_publish_prepared_batch`] instead. Combined
-    /// with `frontend().prepare_batch()` this is also the *barrier*
-    /// composition of the two stages — the reference the pipelined
-    /// `publish_batch` is differentially tested (and benchmarked)
-    /// against.
-    pub fn publish_prepared_batch(&self, prepared: &[PreparedEvent]) -> Vec<PublishResult> {
-        let set = self.resolve();
-        self.match_prepared_on(&set, prepared)
-    }
-
-    /// Atomic staleness check + match: resolves one set and, if its
-    /// `frontend_epoch` still equals `frontend_epoch` (the tag of the
-    /// [`SemanticFrontEnd`] that prepared `prepared`), matches every
-    /// artifact against that set. Returns `None` when the front end is
-    /// stale — the caller re-prepares from a fresh
-    /// [`ShardedSToPSS::frontend`].
-    pub fn try_publish_prepared_batch(
-        &self,
-        prepared: &[PreparedEvent],
-        frontend_epoch: u64,
-    ) -> Option<Vec<PublishResult>> {
-        let set = self.resolve();
-        if set.frontend_epoch != frontend_epoch {
-            return None;
+    /// publication), then matches them.
+    pub(crate) fn publish_prepared(&self, prepared: &[PreparedEvent]) -> Vec<PublishResult> {
+        for artifact in prepared {
+            self.stats.account(artifact.derived_events, artifact.closure_pairs, artifact.truncated);
         }
-        Some(self.match_prepared_on(&set, prepared))
+        self.match_prepared(prepared)
     }
 
-    fn match_prepared_on(&self, set: &ShardSet, prepared: &[PreparedEvent]) -> Vec<PublishResult> {
+    /// The subscription-side half for one artifact; one shard matches in
+    /// place with no merge.
+    pub(crate) fn match_one(&self, prepared: &PreparedEvent) -> PublishResult {
+        if let [only] = self.shards.as_slice() {
+            return only.match_prepared(prepared, self.control_epoch);
+        }
+        self.match_prepared(std::slice::from_ref(prepared))
+            .pop()
+            .expect("invariant: one artifact in, one result out")
+    }
+
+    /// The subscription-side half for a list of artifacts: every shard
+    /// matches every artifact — fanned out on scoped workers when the
+    /// budget allows — and per-shard matches merge sorted by `SubId`.
+    /// Accounts no event-side counter.
+    pub(crate) fn match_prepared(&self, prepared: &[PreparedEvent]) -> Vec<PublishResult> {
+        let epoch = self.control_epoch;
+        if let [only] = self.shards.as_slice() {
+            return prepared.iter().map(|p| only.match_prepared(p, epoch)).collect();
+        }
         if prepared.is_empty() {
             return Vec::new();
         }
-        // ordering: monotone event-side stats counters; atomic adds
-        // commute and no reader couples them to other memory.
-        self.event_stats.published.fetch_add(prepared.len() as u64, Ordering::Relaxed);
-        for artifact in prepared {
-            self.event_stats
-                .derived_events
-                .fetch_add(artifact.derived_events as u64, Ordering::Relaxed);
-            self.event_stats
-                .closure_pairs
-                .fetch_add(artifact.closure_pairs as u64, Ordering::Relaxed);
-            if artifact.truncated {
-                self.event_stats.truncations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        let workers = set.config.effective_parallelism();
+        let workers = self.config.effective_parallelism();
         // Scoped workers are real OS threads, so spawning must be
-        // amortized: batches always fan out; a single event (the broker's
-        // per-publish path) fans out only when the caller asked for a
-        // worker pool explicitly (`parallelism > 0`, e.g. candidate-heavy
-        // shards where per-shard matching dwarfs a thread spawn) and
-        // otherwise matches sequentially.
-        let fan_out = workers > 1
-            && set.shards.len() > 1
-            && (prepared.len() > 1 || set.config.parallelism > 0);
+        // amortized: batches always fan out; a single event fans out only
+        // when the caller asked for a worker pool explicitly
+        // (`parallelism > 0`, e.g. candidate-heavy shards where per-shard
+        // matching dwarfs a thread spawn) and otherwise matches
+        // sequentially.
+        let fan_out = workers > 1 && (prepared.len() > 1 || self.config.parallelism > 0);
+        let run_shard = |shard: &MatcherCore| -> Vec<PublishResult> {
+            prepared.iter().map(|artifact| shard.match_prepared(artifact, epoch)).collect()
+        };
         // per_shard[s][k] = shard s's result for artifact k.
         let per_shard: Vec<Vec<PublishResult>> = if !fan_out {
-            set.shards.iter().map(|shard| run_shard(shard, prepared)).collect()
+            self.shards.iter().map(|shard| run_shard(shard)).collect()
         } else {
-            let chunk = set.shards.len().div_ceil(workers);
+            let chunk = self.shards.len().div_ceil(workers);
+            let run_shard = &run_shard;
             crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = set
+                let handles: Vec<_> = self
                     .shards
                     .chunks(chunk)
                     .map(|chunk_shards| {
                         scope.spawn(move |_| {
-                            chunk_shards
-                                .iter()
-                                .map(|shard| run_shard(shard, prepared))
-                                .collect::<Vec<_>>()
+                            chunk_shards.iter().map(|shard| run_shard(shard)).collect::<Vec<_>>()
                         })
                     })
                     .collect();
@@ -565,121 +236,131 @@ impl ShardedSToPSS {
             })
             .expect("invariant: shard scope threads do not panic")
         };
-        merge_results(prepared, per_shard, set.control_epoch)
+        merge_results(prepared, per_shard, epoch)
     }
 
-    /// Switches the enabled stages on every shard and rebuilds their
-    /// engine subscriptions. Returns the control epoch of the switch.
-    pub fn set_stages(&self, stages: crate::tolerance::StageMask) -> u64 {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        let mut config = cur.config;
-        config.stages = stages;
-        let shards = cur
+    /// The next set: `shards` in place of this set's, one control epoch
+    /// later, same configuration, ontology and front-end epoch.
+    fn next(&self, shards: Vec<Arc<MatcherCore>>) -> ShardSet {
+        ShardSet {
+            config: self.config,
+            source: self.source.clone(),
+            interner: self.interner.clone(),
+            stats: self.stats.clone(),
+            shards,
+            control_epoch: self.control_epoch + 1,
+            frontend_epoch: self.frontend_epoch,
+        }
+    }
+
+    /// Every shard core in `forks` replaces its counterpart; the others
+    /// keep their `Arc`s.
+    fn with_forks(&self, forks: Vec<Option<MatcherCore>>) -> ShardSet {
+        let shards = self
+            .shards
+            .iter()
+            .zip(forks)
+            .map(|(cur, fork)| fork.map_or_else(|| cur.clone(), Arc::new))
+            .collect();
+        self.next(shards)
+    }
+
+    /// The next set with `subs` registered (a `None` tolerance means the
+    /// system tolerance). Each touched shard is forked exactly once.
+    pub(crate) fn subscribed(
+        &self,
+        subs: impl IntoIterator<Item = (Subscription, Option<Tolerance>)>,
+    ) -> ShardSet {
+        let mut forks: Vec<Option<MatcherCore>> = self.shards.iter().map(|_| None).collect();
+        for (sub, tolerance) in subs {
+            let idx = self.route(sub.id());
+            let core = forks[idx].get_or_insert_with(|| self.shards[idx].fork());
+            core.subscribe_with_tolerance(
+                sub,
+                tolerance.unwrap_or_else(|| self.config.system_tolerance()),
+            );
+        }
+        self.with_forks(forks)
+    }
+
+    /// The next set with `ids` removed, each touched shard forked exactly
+    /// once; `None` if no id is registered.
+    pub(crate) fn unsubscribed(&self, ids: &[SubId]) -> Option<ShardSet> {
+        let mut forks: Vec<Option<MatcherCore>> = self.shards.iter().map(|_| None).collect();
+        let mut removed = false;
+        for &id in ids {
+            let idx = self.route(id);
+            if let Some(core) = forks[idx].as_mut() {
+                removed |= core.remove_entry(id);
+            } else if self.shards[idx].contains(id) {
+                let mut core = self.shards[idx].fork();
+                removed |= core.remove_entry(id);
+                forks[idx] = Some(core);
+            }
+        }
+        removed.then(|| self.with_forks(forks))
+    }
+
+    /// The next set with every shard forked and rebuilt by `rebuild`,
+    /// under `config` and `source`; bumps both epochs.
+    fn rebuilt(
+        &self,
+        config: Config,
+        source: Arc<dyn SemanticSource>,
+        rebuild: impl Fn(&mut MatcherCore),
+    ) -> ShardSet {
+        let shards = self
             .shards
             .iter()
             .map(|shard| {
                 let mut core = shard.fork();
-                core.set_stages(stages);
+                rebuild(&mut core);
                 Arc::new(core)
             })
             .collect();
-        self.swap(ShardSet {
-            config,
-            source: cur.source.clone(),
-            shards,
-            control_epoch: cur.control_epoch + 1,
-            frontend_epoch: cur.frontend_epoch + 1,
-        })
+        ShardSet { config, source, frontend_epoch: self.frontend_epoch + 1, ..self.next(shards) }
     }
 
-    /// Replaces the configuration (engine, strategy, shard count, …). If
-    /// the shard count changes, subscriptions are redistributed into
-    /// fresh shard cores — verification-class refcounts (and therefore
-    /// the stage-1 warm set) are rebuilt per shard from the re-routed
-    /// subscriptions' requested tolerances, and lifetime statistics
-    /// survive because the counters live outside the snapshots. Either
-    /// way every shard rebuilds its engine state. Returns the control
-    /// epoch of the swap.
-    pub fn reconfigure(&self, config: Config) -> u64 {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        let shards = if config.effective_shards() == cur.shards.len() {
-            cur.shards
-                .iter()
-                .map(|shard| {
-                    let mut core = shard.fork();
-                    core.reconfigure(config);
-                    Arc::new(core)
-                })
-                .collect()
-        } else {
-            let mut all: Vec<(Subscription, Tolerance)> = Vec::new();
-            for shard in &cur.shards {
-                all.extend(shard.subscriptions_with_tolerances());
-            }
-            all.sort_unstable_by_key(|(sub, _)| sub.id());
-            let mut cores: Vec<MatcherCore> = (0..config.effective_shards())
-                .map(|_| {
-                    MatcherCore::new(
-                        config,
-                        cur.source.clone(),
-                        self.interner.clone(),
-                        self.sub_stats.clone(),
-                    )
-                })
-                .collect();
-            for (sub, tolerance) in all {
-                let idx = shard_of(sub.id(), cores.len());
-                cores[idx].subscribe_with_tolerance(sub, tolerance);
-            }
-            cores.into_iter().map(Arc::new).collect()
-        };
-        self.swap(ShardSet {
-            config,
-            source: cur.source.clone(),
-            shards,
-            control_epoch: cur.control_epoch + 1,
-            frontend_epoch: cur.frontend_epoch + 1,
-        })
+    /// The next set with `stages` enabled on every shard.
+    pub(crate) fn with_stages(&self, stages: StageMask) -> ShardSet {
+        let config = Config { stages, ..self.config };
+        self.rebuilt(config, self.source.clone(), |core| core.set_stages(stages))
     }
 
-    /// Swaps the semantic knowledge source on every shard — live ontology
-    /// evolution, see [`crate::SToPSS::set_source`]. Returns the control
-    /// epoch of the swap.
-    pub fn set_source(&self, source: Arc<dyn SemanticSource>) -> u64 {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        let shards = cur
-            .shards
-            .iter()
-            .map(|shard| {
-                let mut core = shard.fork();
-                core.set_source(source.clone());
-                Arc::new(core)
-            })
-            .collect();
-        self.swap(ShardSet {
-            config: cur.config,
-            source,
-            shards,
-            control_epoch: cur.control_epoch + 1,
-            frontend_epoch: cur.frontend_epoch + 1,
-        })
+    /// The next set on ontology `source`.
+    pub(crate) fn with_source(&self, source: Arc<dyn SemanticSource>) -> ShardSet {
+        self.rebuilt(self.config, source.clone(), |core| core.set_source(source.clone()))
     }
-}
 
-/// Runs the whole artifact list through one shard sequentially (the
-/// subscription-side half only — the front-end already ran). `&MatcherCore`
-/// suffices: the shard's match path is interior-mutable.
-fn run_shard(shard: &MatcherCore, prepared: &[PreparedEvent]) -> Vec<PublishResult> {
-    prepared.iter().map(|artifact| shard.match_prepared(artifact)).collect()
+    /// The next set under `config`. If the shard count changes,
+    /// subscriptions are redistributed into fresh shard cores —
+    /// verification-class refcounts (and therefore the stage-1 warm set)
+    /// are rebuilt per shard from the re-routed subscriptions' requested
+    /// tolerances. Either way every shard rebuilds its engine state.
+    pub(crate) fn reconfigured(&self, config: Config) -> ShardSet {
+        if config.effective_shards() == self.shards.len() {
+            return self.rebuilt(config, self.source.clone(), |core| core.reconfigure(config));
+        }
+        let mut all: Vec<(Subscription, Tolerance)> = Vec::new();
+        for shard in &self.shards {
+            all.extend(shard.subscriptions_with_tolerances());
+        }
+        all.sort_unstable_by_key(|(sub, _)| sub.id());
+        let mut cores = self.empty_cores(config);
+        let count = cores.len();
+        for (sub, tolerance) in all {
+            cores[shard_of(sub.id(), count)].subscribe_with_tolerance(sub, tolerance);
+        }
+        let shards = cores.into_iter().map(Arc::new).collect();
+        ShardSet { config, frontend_epoch: self.frontend_epoch + 1, ..self.next(shards) }
+    }
 }
 
 /// Merges per-shard results into one result per event: matches are
 /// concatenated and sorted by `SubId` (shards partition ids, so there are
 /// no duplicates); event-side counters come straight from the shared
-/// front-end artifact, the epoch from the set the chunk matched against.
+/// front-end artifact, the epoch from the set the artifacts matched
+/// against.
 fn merge_results(
     prepared: &[PreparedEvent],
     per_shard: Vec<Vec<PublishResult>>,
@@ -708,8 +389,7 @@ mod tests {
     use super::*;
     use crate::config::Strategy;
     use crate::matcher::SToPSS;
-    use crate::provenance::MatchOrigin;
-    use crate::tolerance::StageMask;
+    use crate::provenance::{Match, MatchOrigin};
     use stopss_matching::EngineKind;
     use stopss_ontology::Ontology;
     use stopss_types::{EventBuilder, Interner, SubscriptionBuilder};
@@ -747,10 +427,15 @@ mod tests {
         World { interner: SharedInterner::from_interner(i), source: Arc::new(o), subs, events }
     }
 
-    fn matchers(w: &World, shards: usize) -> (SToPSS, ShardedSToPSS) {
-        let config = Config::default().with_shards(shards);
-        let single = SToPSS::new(config, w.source.clone(), w.interner.clone());
-        let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+    /// A one-shard reference and a matcher with `shards` shards, both
+    /// holding every subscription of the world.
+    fn matchers(w: &World, shards: usize) -> (SToPSS, SToPSS) {
+        let single = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
+        let sharded = SToPSS::new(
+            Config::default().with_shards(shards),
+            w.source.clone(),
+            w.interner.clone(),
+        );
         for sub in &w.subs {
             single.subscribe(sub.clone());
             sharded.subscribe(sub.clone());
@@ -818,8 +503,8 @@ mod tests {
         let w = world();
         for shards in [1usize, 4, 8] {
             let config = Config::default().with_shards(shards);
-            let batched = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
-            let sequential = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+            let batched = SToPSS::new(config, w.source.clone(), w.interner.clone());
+            let sequential = SToPSS::new(config, w.source.clone(), w.interner.clone());
             let mut batch = Vec::new();
             for (k, sub) in w.subs.iter().enumerate() {
                 if k % 2 == 0 {
@@ -849,8 +534,8 @@ mod tests {
         let w = world();
         for parallelism in [1usize, 2, 3] {
             let config = Config::default().with_shards(8).with_parallelism(parallelism);
-            let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
-            let single = SToPSS::new(config, w.source.clone(), w.interner.clone());
+            let sharded = SToPSS::new(config, w.source.clone(), w.interner.clone());
+            let single = SToPSS::new(config.with_shards(1), w.source.clone(), w.interner.clone());
             for sub in &w.subs {
                 sharded.subscribe(sub.clone());
                 single.subscribe(sub.clone());
@@ -875,9 +560,10 @@ mod tests {
         assert!(before.published > 0);
         sharded.reconfigure(Config::default().with_shards(5));
         single.reconfigure(Config::default());
+        assert_eq!(single.shard_count(), 1);
         let after = sharded.stats();
         assert_eq!(after.published, before.published, "reshard must not zero lifetime stats");
-        assert_eq!(after, single.stats(), "stats must track the single-threaded matcher");
+        assert_eq!(after, single.stats(), "stats must track the one-shard matcher");
         // New publishes keep accumulating on top of the carried baseline.
         sharded.publish(&w.events[0]);
         single.publish(&w.events[0]);
@@ -936,7 +622,7 @@ mod tests {
     fn shards_share_one_tier_cache_per_artifact() {
         let w = world();
         let config = Config::default().with_shards(4).with_parallelism(4);
-        let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+        let sharded = SToPSS::new(config, w.source.clone(), w.interner.clone());
         for (k, sub) in w.subs.iter().enumerate() {
             // Mixed tolerances so several shards verify concurrently.
             let tolerance = match k % 3 {
@@ -965,7 +651,7 @@ mod tests {
     fn per_subscription_tolerance_respected_across_shards() {
         let w = world();
         let config = Config::default().with_shards(8);
-        let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+        let sharded = SToPSS::new(config, w.source.clone(), w.interner.clone());
         for sub in &w.subs {
             sharded.subscribe_with_tolerance(sub.clone(), Tolerance::syntactic());
         }
@@ -983,7 +669,7 @@ mod tests {
     fn frontend_warms_registered_verify_classes_in_stage_1() {
         let w = world();
         let config = Config::default().with_shards(4);
-        let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+        let sharded = SToPSS::new(config, w.source.clone(), w.interner.clone());
         for (k, sub) in w.subs.iter().enumerate() {
             let tolerance = match k % 3 {
                 0 => Tolerance::full(), // system tolerance: no verify class
@@ -1027,11 +713,8 @@ mod tests {
     #[test]
     fn verify_classes_survive_resharding() {
         let w = world();
-        let sharded = ShardedSToPSS::new(
-            Config::default().with_shards(2),
-            w.source.clone(),
-            w.interner.clone(),
-        );
+        let sharded =
+            SToPSS::new(Config::default().with_shards(2), w.source.clone(), w.interner.clone());
         for (k, sub) in w.subs.iter().enumerate() {
             let tolerance = match k % 3 {
                 0 => Tolerance::full(),
@@ -1070,9 +753,9 @@ mod tests {
         // PIPELINE_CHUNK), with mixed tolerances in play.
         let batch: Vec<Event> =
             w.events.iter().cycle().take(3 * PIPELINE_CHUNK + 5).cloned().collect();
-        let single = SToPSS::new(config, w.source.clone(), w.interner.clone());
-        let pipelined = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
-        let barrier = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+        let single = SToPSS::new(config.with_shards(1), w.source.clone(), w.interner.clone());
+        let pipelined = SToPSS::new(config, w.source.clone(), w.interner.clone());
+        let barrier = SToPSS::new(config, w.source.clone(), w.interner.clone());
         for (k, sub) in w.subs.iter().enumerate() {
             let tolerance = tolerance_cycle(k);
             single.subscribe_with_tolerance(sub.clone(), tolerance);
@@ -1105,11 +788,8 @@ mod tests {
     #[test]
     fn epochs_are_consecutive_and_stamped() {
         let w = world();
-        let sharded = ShardedSToPSS::new(
-            Config::default().with_shards(4),
-            w.source.clone(),
-            w.interner.clone(),
-        );
+        let sharded =
+            SToPSS::new(Config::default().with_shards(4), w.source.clone(), w.interner.clone());
         assert_eq!(sharded.control_epoch(), 0);
         assert_eq!(sharded.subscribe(w.subs[0].clone()), 1);
         assert_eq!(sharded.subscribe(w.subs[1].clone()), 2);
@@ -1128,6 +808,62 @@ mod tests {
         assert!(sharded.try_publish_prepared_batch(&prepared, frontend.epoch()).is_some());
         sharded.reconfigure(Config::default().with_shards(4));
         assert!(sharded.try_publish_prepared_batch(&prepared, frontend.epoch()).is_none());
+    }
+
+    /// A live reshard across the old single/sharded boundary: 1 → 4 → 1
+    /// shards on one matcher. Subscriptions, requested tolerances, match
+    /// sets and lifetime statistics all survive both changes.
+    #[test]
+    fn live_reshard_from_one_shard_and_back() {
+        let w = world();
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
+        assert_eq!(matcher.shard_count(), 1);
+        for (k, sub) in w.subs.iter().enumerate() {
+            matcher.subscribe_with_tolerance(sub.clone(), tolerance_cycle(k));
+        }
+        let requested: Vec<Option<Tolerance>> =
+            w.subs.iter().map(|s| matcher.requested_tolerance(s.id())).collect();
+        let want: Vec<Vec<Match>> = w.events.iter().map(|e| matcher.publish(e)).collect();
+        for shards in [4usize, 1] {
+            let stats = matcher.stats();
+            matcher.reconfigure(Config::default().with_shards(shards));
+            assert_eq!(matcher.shard_count(), shards);
+            assert_eq!(matcher.len(), w.subs.len(), "shards={shards}: subscriptions survive");
+            assert_eq!(matcher.stats(), stats, "shards={shards}: stats survive");
+            for (sub, tolerance) in w.subs.iter().zip(&requested) {
+                assert_eq!(matcher.requested_tolerance(sub.id()), *tolerance, "shards={shards}");
+            }
+            let got: Vec<Vec<Match>> = w.events.iter().map(|e| matcher.publish(e)).collect();
+            assert_eq!(got, want, "shards={shards}: match sets survive the reshard");
+            assert_eq!(matcher.publish_batch(&w.events), want, "shards={shards}: batch path");
+        }
+    }
+
+    /// `unsubscribe_batch` is one control mutation whatever the number of
+    /// shards it touches, and equals removing the same ids one by one.
+    #[test]
+    fn unsubscribe_batch_is_one_epoch_and_equals_sequential_unsubscribes() {
+        let w = world();
+        for shards in [1usize, 4] {
+            let (_, batched) = matchers(&w, shards);
+            let (_, sequential) = matchers(&w, shards);
+            let mut ids: Vec<SubId> = w.subs.iter().step_by(2).map(|s| s.id()).collect();
+            for id in &ids {
+                assert!(sequential.unsubscribe(*id).is_some());
+            }
+            // A duplicate and an unknown id are skipped.
+            ids.push(ids[0]);
+            ids.push(SubId(999));
+            let before = batched.control_epoch();
+            assert_eq!(batched.unsubscribe_batch(&ids), Some(before + 1), "shards={shards}");
+            assert_eq!(batched.unsubscribe_batch(&ids), None, "nothing left to remove");
+            assert_eq!(batched.unsubscribe_batch(&[]), None);
+            assert_eq!(batched.control_epoch(), before + 1, "no-op batches publish nothing");
+            assert_eq!(batched.len(), sequential.len());
+            for event in &w.events {
+                assert_eq!(batched.publish(event), sequential.publish(event), "shards={shards}");
+            }
+        }
     }
 
     /// Mixed tolerances for the pipeline tests: verify-needing and

@@ -12,9 +12,7 @@
 
 use std::sync::Arc;
 
-use stopss_core::{
-    shard_of, Config, Match, PublishResult, SToPSS, ShardedSToPSS, StageMask, Strategy,
-};
+use stopss_core::{shard_of, Config, Match, PublishResult, SToPSS, StageMask, Strategy};
 use stopss_ontology::{Expr, MappingFunction, Ontology, PatternItem, Production};
 use stopss_types::{
     Event, EventBuilder, Interner, Operator, SharedInterner, SubId, Subscription,
@@ -96,17 +94,20 @@ fn representative_masks() -> [StageMask; 5] {
     ]
 }
 
+/// A one-shard reference holding every subscription (whatever shard count
+/// `config` asks for).
 fn single_matcher(w: &World, config: Config) -> SToPSS {
-    let m = SToPSS::new(config, w.source.clone(), w.interner.clone());
+    let m = SToPSS::new(config.with_shards(1), w.source.clone(), w.interner.clone());
     for sub in &w.subs {
         m.subscribe(sub.clone());
     }
     m
 }
 
-/// The PR-2 replicated reference: N full matchers partitioned by
+/// The replicated reference: N fresh one-shard matchers partitioned by
 /// `shard_of`, each recomputing the complete semantic pass per event.
 fn replicated_shards(w: &World, config: Config, shards: usize) -> Vec<SToPSS> {
+    let config = config.with_shards(1);
     let out: Vec<SToPSS> =
         (0..shards).map(|_| SToPSS::new(config, w.source.clone(), w.interner.clone())).collect();
     for sub in &w.subs {
@@ -195,7 +196,7 @@ fn pipelined_batch_equals_per_event_under_any_parallelism() {
         let single = single_matcher(&w, config);
         let per_event: Vec<Vec<Match>> = w.events.iter().map(|e| single.publish(e)).collect();
 
-        let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
+        let sharded = SToPSS::new(config, w.source.clone(), w.interner.clone());
         for sub in &w.subs {
             sharded.subscribe(sub.clone());
         }
@@ -204,7 +205,7 @@ fn pipelined_batch_equals_per_event_under_any_parallelism() {
         assert_eq!(sharded.stats(), single.stats(), "parallelism={parallelism} stats");
 
         // A second pass through the prepared-artifact entry point (the
-        // broker's pipeline) must keep agreeing and keep stats in sync.
+        // barrier composition of the two stages) must keep agreeing and keep stats in sync.
         let prepared = sharded.frontend().prepare_batch(&w.events);
         let results = sharded.publish_prepared_batch(&prepared);
         let again: Vec<Vec<Match>> = results.into_iter().map(|r| r.matches).collect();
@@ -222,8 +223,8 @@ fn parallel_frontend_stage_is_position_stable() {
     let batch: Vec<Event> = w.events.iter().cycle().take(96).cloned().collect();
     let sequential_config = Config::default().with_shards(4).with_parallelism(1);
     let wide_config = Config::default().with_shards(4).with_parallelism(4);
-    let sequential = ShardedSToPSS::new(sequential_config, w.source.clone(), w.interner.clone());
-    let wide = ShardedSToPSS::new(wide_config, w.source.clone(), w.interner.clone());
+    let sequential = SToPSS::new(sequential_config, w.source.clone(), w.interner.clone());
+    let wide = SToPSS::new(wide_config, w.source.clone(), w.interner.clone());
     for sub in &w.subs {
         sequential.subscribe(sub.clone());
         wide.subscribe(sub.clone());

@@ -19,7 +19,7 @@
 
 use loom_lite::sync::{Arc, Mutex, RwLock};
 use loom_lite::{replay, thread, Builder};
-use stopss_core::{Config, SToPSS};
+use stopss_core::{shard_of, Config, SToPSS};
 use stopss_ontology::Ontology;
 use stopss_types::{
     Event, Interner, Operator, Predicate, SharedInterner, SubId, Subscription, Value,
@@ -29,11 +29,15 @@ use stopss_types::{
 /// (no semantic stages — the point is the snapshot plumbing, not the
 /// matching pipeline).
 fn small_world() -> (SToPSS, Subscription, Event) {
+    small_world_with(Config::syntactic())
+}
+
+fn small_world_with(config: Config) -> (SToPSS, Subscription, Event) {
     let mut interner = Interner::new();
     let attr = interner.intern("a0");
     let term = interner.intern("t0");
     let shared = SharedInterner::from_interner(interner);
-    let matcher = SToPSS::new(Config::syntactic(), Arc::new(Ontology::new("model")), shared);
+    let matcher = SToPSS::new(config, Arc::new(Ontology::new("model")), shared);
     let sub =
         Subscription::new(SubId(1), vec![Predicate::new(attr, Operator::Eq, Value::Sym(term))]);
     let event = Event::from_pairs(vec![(attr, Value::Sym(term))]);
@@ -73,6 +77,38 @@ fn epoch_snapshot_swap_is_linearized() {
         assert_eq!(matcher.publish(&event).len(), 1, "post-join snapshot serves the sub");
     });
     assert!(report.complete, "epoch-swap space must be exhausted, ran {report:?}");
+    assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
+}
+
+/// The snapshot is one cut across shards: a batch subscribe landing on
+/// two different shards is a single swap, so a racing publisher sees both
+/// subscriptions or neither — never one shard after the mutation and the
+/// other before it.
+#[test]
+fn cross_shard_batch_swap_is_one_cut() {
+    let report = Builder::default().check(|| {
+        let (matcher, sub, event) = small_world_with(Config::syntactic().with_shards(2));
+        let twin_id = (2..)
+            .map(SubId)
+            .find(|id| shard_of(*id, 2) != shard_of(sub.id(), 2))
+            .expect("some id routes to the other shard");
+        let twin = sub.with_id(twin_id);
+        let matcher = Arc::new(matcher);
+        let writer = {
+            let matcher = matcher.clone();
+            thread::spawn(move || matcher.subscribe_batch(vec![(sub, None), (twin, None)]))
+        };
+        let result = matcher.publish_detailed(&event);
+        let new_epoch = writer.join().expect("subscriber thread must not panic");
+        assert_eq!(new_epoch, 1, "one batch bumps the control epoch once");
+        if result.epoch == 1 {
+            assert_eq!(result.matches.len(), 2, "epoch-1 cut must hold both shards' subs");
+        } else {
+            assert!(result.matches.is_empty(), "epoch-0 cut must hold neither shard's sub");
+        }
+        assert_eq!(matcher.publish(&event).len(), 2, "post-join snapshot serves both");
+    });
+    assert!(report.complete, "cross-shard swap space must be exhausted, ran {report:?}");
     assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 

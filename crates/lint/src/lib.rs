@@ -56,9 +56,11 @@ pub const RULE_WIRE_TAGS: &str = "wire-tags-sync";
 pub const RULE_CONSERVATION: &str = "conservation-counters";
 
 /// Hot-path files for `no-panic-hot-path`: the publish → match →
-/// notify pipeline and the serving path. Harness/demo code
-/// (`chaos.rs`, `server.rs`, `client.rs`) is excluded — it asserts
-/// freely.
+/// notify pipeline and the serving path (`sharded.rs` holds the
+/// matcher's shard fan-out and merge). Harness/demo code (`chaos.rs`,
+/// `server.rs`, `client.rs`) is excluded — it asserts freely. Every entry
+/// must name an existing file ([`check_listed_paths_exist`]), so a
+/// rename cannot silently drop a file out of the rule.
 const HOT_PATHS: &[&str] = &[
     "crates/broker/src/eventloop.rs",
     "crates/broker/src/session.rs",
@@ -399,6 +401,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     for (rel, content) in &files {
         violations.extend(check_file(rel, content));
     }
+    violations.extend(check_listed_paths_exist(RULE_NO_PANIC, HOT_PATHS, &files));
     violations.extend(check_wire_tags_in_tree(root, &files));
     violations.extend(check_conservation(&files));
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -721,6 +724,29 @@ pub fn check_wire_tags(wire_src: &str, doc: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Flags every entry of `listed` (a file list a rule is scoped to) that
+/// names no collected source file: a rule scoped to a missing file has
+/// silently stopped applying to the code that moved. Public for unit
+/// tests.
+pub fn check_listed_paths_exist(
+    rule: &'static str,
+    listed: &[&str],
+    files: &[(String, String)],
+) -> Vec<Violation> {
+    listed
+        .iter()
+        .filter(|path| !files.iter().any(|(rel, _)| rel == *path))
+        .map(|path| Violation {
+            rule,
+            file: (*path).to_string(),
+            line: 0,
+            message: "listed in the rule's file scope but missing from the workspace; \
+                      point the list at the file's new location"
+                .into(),
+        })
+        .collect()
 }
 
 fn check_wire_tags_in_tree(root: &Path, files: &[(String, String)]) -> Vec<Violation> {
@@ -1097,6 +1123,18 @@ pub const VALUE_TAG_TABLE: &[(u8, &str)] = &[
         assert!(!codes[0].contains("std::sync"));
         assert!(comments[0].contains("std::sync::Mutex"));
         assert!(comments[0].contains("tail"));
+    }
+
+    #[test]
+    fn listed_paths_must_exist() {
+        let files = vec![("crates/core/src/matcher.rs".to_string(), String::new())];
+        let listed = ["crates/core/src/matcher.rs", "crates/core/src/renamed_away.rs"];
+        let v = check_listed_paths_exist(RULE_NO_PANIC, &listed, &files);
+        assert_eq!(v.len(), 1, "only the missing entry is flagged: {v:?}");
+        assert_eq!(v[0].rule, RULE_NO_PANIC);
+        assert_eq!(v[0].file, "crates/core/src/renamed_away.rs");
+        assert!(v[0].message.contains("missing"));
+        assert!(check_listed_paths_exist(RULE_NO_PANIC, &listed[..1], &files).is_empty());
     }
 
     #[test]

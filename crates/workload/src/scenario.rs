@@ -7,7 +7,7 @@
 
 use stopss_types::sync::Arc;
 
-use stopss_core::{Config, Match, SToPSS, ShardedSToPSS};
+use stopss_core::{Config, Match, SToPSS};
 use stopss_ontology::Ontology;
 use stopss_types::{
     Event, Interner, Operator, Predicate, SharedInterner, SubId, Subscription, Value,
@@ -35,26 +35,16 @@ pub struct Fixture {
 
 impl Fixture {
     /// The fixture's publications in contiguous batches of `batch_size`
-    /// (the last batch may be shorter; a size of 0 means 1). The unit the
+    /// (the last batch may be shorter; a size of 0 means 1). The unit a
     /// sharded matcher's `publish_batch` fans out per worker round.
     pub fn publication_batches(&self, batch_size: usize) -> std::slice::Chunks<'_, Event> {
         self.publications.chunks(batch_size.max(1))
     }
 
-    /// Builds a single-threaded matcher over this fixture's ontology with
-    /// every subscription registered.
+    /// Builds a matcher (shard count from `config.shards`) over this
+    /// fixture's ontology with every subscription registered.
     pub fn matcher(&self, config: Config) -> SToPSS {
         let matcher = SToPSS::new(config, self.source.clone(), self.interner.clone());
-        for sub in &self.subscriptions {
-            matcher.subscribe(sub.clone());
-        }
-        matcher
-    }
-
-    /// Builds a sharded matcher (shard count from `config.shards`) over
-    /// this fixture's ontology with every subscription registered.
-    pub fn sharded_matcher(&self, config: Config) -> ShardedSToPSS {
-        let matcher = ShardedSToPSS::new(config, self.source.clone(), self.interner.clone());
         for sub in &self.subscriptions {
             matcher.subscribe(sub.clone());
         }
@@ -65,7 +55,7 @@ impl Fixture {
     /// of `batch_size`, returning the match set of each publication in
     /// publication order — the batch-feed entry point for benches and the
     /// differential suites.
-    pub fn feed_batches(&self, matcher: &ShardedSToPSS, batch_size: usize) -> Vec<Vec<Match>> {
+    pub fn feed_batches(&self, matcher: &SToPSS, batch_size: usize) -> Vec<Vec<Match>> {
         let mut out = Vec::with_capacity(self.publications.len());
         for batch in self.publication_batches(batch_size) {
             out.extend(matcher.publish_batch(batch));
@@ -258,9 +248,8 @@ mod tests {
     #[test]
     fn batch_feed_equals_per_event_publish() {
         let f = jobfinder_fixture(80, 40, 13);
-        let config = Config::default().with_shards(4);
-        let single = f.matcher(config);
-        let sharded = f.sharded_matcher(config);
+        let single = f.matcher(Config::default());
+        let sharded = f.matcher(Config::default().with_shards(4));
         let want: Vec<Vec<Match>> = f.publications.iter().map(|e| single.publish(e)).collect();
         let got = f.feed_batches(&sharded, 7);
         assert_eq!(got, want);

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use stopss_core::{Config, Match, MatcherStats};
 use stopss_workload::{
     churn_scenario, geo_fixture, iot_fixture, jobfinder_fixture, market_fixture,
-    replay_interleaved, replay_interleaved_sharded, replay_sequential, ChurnMode, Fixture,
+    replay_interleaved, replay_sequential, ChurnMode, Fixture,
 };
 
 fn fixture_for(domain: usize, seed: u64) -> (&'static str, Fixture) {
@@ -28,7 +28,7 @@ fn run(fixture: &Fixture, shards: usize, barrier: bool) -> (Vec<Vec<Match>>, Mat
     // `with_parallelism(shards)` keeps the pipelined path's stage overlap
     // on even when the host reports few cores.
     let config = Config::default().with_shards(shards).with_parallelism(shards);
-    let matcher = fixture.sharded_matcher(config);
+    let matcher = fixture.matcher(config);
     let matches = if barrier {
         let prepared = matcher.frontend().prepare_batch(&fixture.publications);
         matcher.publish_prepared_batch(&prepared).into_iter().map(|r| r.matches).collect()
@@ -66,7 +66,7 @@ proptest! {
     }
 
     /// All domains × churn modes: the interleaved replay matches the
-    /// fresh-matcher oracle on both backends.
+    /// fresh one-shard oracle with one shard and with four.
     #[test]
     fn every_domain_survives_churn(
         domain in 0usize..4,
@@ -79,8 +79,8 @@ proptest! {
         let config = Config::default();
         let sequential = replay_sequential(&fixture, &scenario, config);
         let interleaved = replay_interleaved(&fixture, &scenario, config);
-        prop_assert_eq!(&interleaved, &sequential, "{}/{:?}: single backend diverged", name, mode);
-        let sharded = replay_interleaved_sharded(&fixture, &scenario, config.with_shards(4));
-        prop_assert_eq!(&sharded, &sequential, "{}/{:?}: sharded backend diverged", name, mode);
+        prop_assert_eq!(&interleaved, &sequential, "{}/{:?}: one shard diverged", name, mode);
+        let sharded = replay_interleaved(&fixture, &scenario, config.with_shards(4));
+        prop_assert_eq!(&sharded, &sequential, "{}/{:?}: four shards diverged", name, mode);
     }
 }

@@ -3,18 +3,18 @@
 //!
 //! Single-threaded half: a live matcher fed an interleaved
 //! subscribe/unsubscribe/ontology-swap/publish stream must produce, at
-//! every publish, exactly the match set of a fresh matcher built from the
-//! then-live subscription set under the then-current ontology — across
-//! all four domains, both churn modes, and the single-threaded and
-//! sharded backends. Divergence means unsubscribe residue, lost
-//! subscriptions, or stale-ontology leakage.
+//! every publish, exactly the match set of a fresh one-shard matcher
+//! built from the then-live subscription set under the then-current
+//! ontology — across all four domains, both churn modes, and one or four
+//! shards. Divergence means unsubscribe residue, lost subscriptions, or
+//! stale-ontology leakage.
 //!
 //! Concurrent half (the epoch-snapshot control-plane pin): the same
 //! control streams run on a thread *racing* publisher threads against
 //! one live matcher. Every publication is stamped with the control epoch
 //! of the snapshot it matched against, so the racy execution linearizes;
 //! the harness (see `stopss_workload::churn`) asserts each publication
-//! byte-identical to a fresh oracle at its epoch, and that a sequential
+//! byte-identical to a fresh one-shard oracle at its epoch, and that a sequential
 //! replay of the linearized stream reproduces the live matcher's final
 //! statistics exactly. At the broker layer, the same race must conserve
 //! match accounting: every match is delivered, failed, or orphaned.
@@ -24,8 +24,7 @@ use std::sync::Arc;
 use s_topss::prelude::*;
 use s_topss::workload::{
     churn_scenario, geo_fixture, iot_fixture, jobfinder_fixture, market_fixture, replay_concurrent,
-    replay_concurrent_sharded, replay_interleaved, replay_interleaved_sharded, replay_sequential,
-    ChurnMode, ChurnOp, Fixture,
+    replay_interleaved, replay_sequential, ChurnMode, ChurnOp, Fixture,
 };
 
 fn domains() -> Vec<(&'static str, Fixture)> {
@@ -38,8 +37,8 @@ fn domains() -> Vec<(&'static str, Fixture)> {
 }
 
 /// The single-threaded differential: interleaved ≡ sequential, every
-/// domain × every churn mode (now including live ontology swaps),
-/// single-threaded backend.
+/// domain × every churn mode (now including live ontology swaps), one
+/// shard.
 #[test]
 fn interleaved_replay_equals_sequential_everywhere() {
     for (name, fixture) in domains() {
@@ -57,24 +56,23 @@ fn interleaved_replay_equals_sequential_everywhere() {
     }
 }
 
-/// The same differential over the sharded backend (4 shards): churn must
-/// not interact with shard-local subscription tables.
+/// The same differential over four shards: churn must not interact with
+/// shard-local subscription tables.
 #[test]
 fn sharded_interleaved_replay_equals_sequential() {
     for (name, fixture) in domains() {
         for mode in [ChurnMode::UnsubscribeHeavy, ChurnMode::FlashCrowd] {
             let scenario = churn_scenario(&fixture, mode, 150, 42);
             let sequential = replay_sequential(&fixture, &scenario, Config::default());
-            let sharded =
-                replay_interleaved_sharded(&fixture, &scenario, Config::default().with_shards(4));
-            assert_eq!(sharded, sequential, "{name}/{mode:?}: sharded backend diverged");
+            let sharded = replay_interleaved(&fixture, &scenario, Config::default().with_shards(4));
+            assert_eq!(sharded, sequential, "{name}/{mode:?}: four shards diverged");
         }
     }
 }
 
 /// The tentpole differential: publisher threads racing the control
 /// stream (subscribe/unsubscribe/ontology-edit) against one live
-/// single-threaded matcher linearize — every concurrent publication is
+/// one-shard matcher linearize — every concurrent publication is
 /// byte-identical to the sequential oracle at its stamped epoch, and the
 /// linearized replay reproduces the live stats exactly. Every domain ×
 /// every churn mode.
@@ -92,7 +90,7 @@ fn concurrent_interleavings_linearize_everywhere() {
     }
 }
 
-/// The concurrent differential over the sharded backend, shards {1, 4} ×
+/// The concurrent differential across shard counts {1, 4} ×
 /// barrier (`parallelism = 1`) / pipelined (`parallelism = 4`, which
 /// forces stage overlap and chunk-granular snapshot resolution on 4
 /// shards). Covers the broker-shaped batch path: publisher threads feed
@@ -106,7 +104,7 @@ fn concurrent_sharded_interleavings_linearize() {
         for shards in [1usize, 4] {
             for parallelism in [1usize, 4] {
                 let config = Config::default().with_shards(shards).with_parallelism(parallelism);
-                let summary = replay_concurrent_sharded(&fixture, &scenario, config, 3);
+                let summary = replay_concurrent(&fixture, &scenario, config, 3);
                 assert!(
                     summary.publishes > 0,
                     "{mode:?}/shards={shards}/par={parallelism}: ran ({summary:?})"

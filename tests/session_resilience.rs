@@ -265,6 +265,39 @@ fn session_ttl_expiry_boundary_accounts_every_retained_frame() {
     );
 }
 
+/// Session expiry surrenders a client's subscriptions in one matcher
+/// control mutation: a client owning k = 8 subscriptions raises the
+/// matcher's control epoch by exactly 1 when its session expires (one
+/// fork per touched shard, one swap), not once per subscription.
+#[test]
+fn session_expiry_unsubscribes_in_one_control_epoch() {
+    const K: usize = 8;
+    let config = NetBrokerConfig {
+        session: SessionConfig { session_ttl: 4, ..SessionConfig::default() },
+        ..NetBrokerConfig::default()
+    };
+    let (mut server, _interner, _domain) = net_broker(config);
+    let mut sub = NetClient::connect(&server.connector()).unwrap();
+    open_session(&mut server, &mut sub);
+    let id = register(&mut server, &mut sub, "expiry-owner");
+    for _ in 0..K {
+        subscribe_skill(&mut server, &mut sub, id);
+    }
+    assert_eq!(server.broker().subscription_count(), K);
+    sub.close();
+    server.run_turns(5).unwrap();
+
+    let before = server.broker().matcher_control_epoch();
+    server.advance_clock(4);
+    assert_eq!(server.stats().sessions_expired, 1);
+    assert_eq!(server.broker().subscription_count(), 0, "expiry surrenders every subscription");
+    assert_eq!(
+        server.broker().matcher_control_epoch(),
+        before + 1,
+        "expiring {K} subscriptions is one control mutation"
+    );
+}
+
 /// `DropNewest` at the replay bound: overflowing notifications are shed
 /// *before* seq assignment, so the session's delivered seqs stay
 /// contiguous and the drops are visible in the accounting — never a gap

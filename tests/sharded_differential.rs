@@ -1,22 +1,30 @@
-//! Differential suite: the sharded matcher is observably identical to the
-//! single-threaded matcher.
+//! Differential suite: a sharded matcher is observably identical to
+//! independent one-shard matchers and to the semantic oracle.
 //!
-//! `ShardedSToPSS` promises byte-identical results — match sets,
-//! provenance, ordering, and aggregated `MatcherStats` — for every shard
-//! count, because shards partition subscriptions while the
-//! engine-independent event-side work runs once in the shared semantic
-//! front-end (see `stopss_core::sharded` and `stopss_core::frontend`
-//! module docs; `crates/core/tests/frontend_differential.rs` pins the
-//! hoisted artifact against per-shard recomputation directly). This suite
-//! pins the end-to-end promise on generated workloads (the realistic
-//! job-finder domain and a synthetic taxonomy domain), swept across every
-//! syntactic engine × every strategy × representative stage masks × shard
-//! counts {1, 2, 8}, with per-subscription tolerances in the mix, plus
-//! determinism regressions (repeat publication, batch vs per-event
-//! feeding, and one golden match-set).
+//! `SToPSS` promises byte-identical results — match sets, provenance,
+//! ordering, and `MatcherStats` — for every shard count, because shards
+//! partition subscriptions while the engine-independent event-side work
+//! runs once in the shared semantic front-end (see `stopss_core::sharded`
+//! and `stopss_core::frontend` module docs;
+//! `crates/core/tests/frontend_differential.rs` pins the hoisted artifact
+//! against per-shard recomputation directly). No reference here runs the
+//! matcher's shard routing, fan-out or merge: each row is checked against
+//! N fresh one-shard matchers, each fed only its partition, and — for the
+//! flattened-closure rows that do not truncate — against `semantic_match`
+//! / `classify_match` directly. This suite pins the end-to-end promise on
+//! generated workloads (the realistic job-finder domain and a synthetic
+//! taxonomy domain), swept across every syntactic engine × every strategy
+//! × representative stage masks × shard counts {1, 2, 8}, with
+//! per-subscription tolerances in the mix, plus determinism regressions
+//! (repeat publication, batch vs per-event feeding, and one golden
+//! match-set).
 
-use s_topss::core::{Config, Match, SToPSS, ShardedSToPSS, StageMask, Strategy, Tolerance};
+use s_topss::core::{
+    classify_match, semantic_match, shard_of, Config, Match, MatcherStats, SToPSS, StageMask,
+    Strategy, Tolerance,
+};
 use s_topss::matching::EngineKind;
+use s_topss::types::{Event, Subscription};
 use s_topss::workload::{
     jobfinder_fixture, synthetic_fixture, Fixture, SyntheticConfig, SyntheticWorkload,
 };
@@ -43,8 +51,13 @@ fn tolerance_for(k: usize) -> Option<Tolerance> {
     }
 }
 
-fn subscribe_single(fixture: &Fixture, matcher: &SToPSS) {
+/// Registers the fixture's subscriptions that pass `keep`, each with its
+/// round-robin tolerance.
+fn subscribe_where(fixture: &Fixture, matcher: &SToPSS, keep: impl Fn(&Subscription) -> bool) {
     for (k, sub) in fixture.subscriptions.iter().enumerate() {
+        if !keep(sub) {
+            continue;
+        }
         match tolerance_for(k) {
             Some(t) => matcher.subscribe_with_tolerance(sub.clone(), t),
             None => matcher.subscribe(sub.clone()),
@@ -52,47 +65,147 @@ fn subscribe_single(fixture: &Fixture, matcher: &SToPSS) {
     }
 }
 
-fn subscribe_sharded(fixture: &Fixture, matcher: &ShardedSToPSS) {
-    for (k, sub) in fixture.subscriptions.iter().enumerate() {
-        match tolerance_for(k) {
-            Some(t) => matcher.subscribe_with_tolerance(sub.clone(), t),
-            None => matcher.subscribe(sub.clone()),
+fn subscribe_all(fixture: &Fixture, matcher: &SToPSS) {
+    subscribe_where(fixture, matcher, |_| true);
+}
+
+fn matcher(fixture: &Fixture, config: Config) -> SToPSS {
+    let matcher = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
+    subscribe_all(fixture, &matcher);
+    matcher
+}
+
+/// What the replicated reference predicts for a run.
+struct Reference {
+    /// Per publication: the merged match set.
+    matches: Vec<Vec<Match>>,
+    /// Per publication: whether the semantic pass truncated.
+    truncated: Vec<bool>,
+    /// The statistics a sharded matcher must report.
+    stats: MatcherStats,
+}
+
+/// The replicated reference: `shards` fresh one-shard matchers, each fed
+/// only its partition of the subscriptions, every publication published
+/// on each. Match sets are the sorted union; the event-side counters come
+/// from one partition (they do not depend on subscriptions) and the
+/// subscription-side counters are summed over the partitions.
+fn replicated_reference(fixture: &Fixture, config: Config, shards: usize) -> Reference {
+    let partitions: Vec<SToPSS> = (0..shards)
+        .map(|p| {
+            let one = SToPSS::new(
+                config.with_shards(1),
+                fixture.source.clone(),
+                fixture.interner.clone(),
+            );
+            subscribe_where(fixture, &one, |sub| shard_of(sub.id(), shards) == p);
+            one
+        })
+        .collect();
+    let mut matches = Vec::with_capacity(fixture.publications.len());
+    let mut truncated = Vec::with_capacity(fixture.publications.len());
+    for event in &fixture.publications {
+        let mut merged: Vec<Match> = Vec::new();
+        let mut clipped = false;
+        for partition in &partitions {
+            let result = partition.publish_detailed(event);
+            clipped |= result.truncated;
+            merged.extend(result.matches);
+        }
+        merged.sort_unstable_by_key(|m| m.sub);
+        matches.push(merged);
+        truncated.push(clipped);
+    }
+    let mut stats = partitions[0].stats();
+    stats.verifications = 0;
+    stats.verify_rejections = 0;
+    stats.rewrite_truncations = 0;
+    for partition in &partitions {
+        let p = partition.stats();
+        stats.verifications += p.verifications;
+        stats.verify_rejections += p.verify_rejections;
+        stats.rewrite_truncations += p.rewrite_truncations;
+    }
+    Reference { matches, truncated, stats }
+}
+
+/// The semantic oracle's match set for every publication: each
+/// subscription `semantic_match` accepts under its effective tolerance,
+/// with `classify_match` provenance, sorted by id. Independent of the
+/// engine and the shard count, so a sweep computes it once per stage mask.
+fn oracle_matches(fixture: &Fixture, config: Config) -> Vec<Vec<Match>> {
+    let system = config.system_tolerance();
+    let limits = &config.limits.closure;
+    let source = fixture.source.as_ref();
+    fixture.interner.with(|i| {
+        let oracle = |event: &Event| -> Vec<Match> {
+            let mut out: Vec<Match> = fixture
+                .subscriptions
+                .iter()
+                .enumerate()
+                .filter(|(k, sub)| {
+                    let effective = tolerance_for(*k).unwrap_or(system).clamp_to(&system);
+                    semantic_match(sub, event, source, &effective, 2003, i, limits)
+                })
+                .map(|(_, sub)| Match {
+                    sub: sub.id(),
+                    origin: classify_match(sub, event, source, config.stages, 2003, i, limits),
+                })
+                .collect();
+            out.sort_unstable_by_key(|m| m.sub);
+            out
         };
+        fixture.publications.iter().map(oracle).collect()
+    })
+}
+
+/// Publishes the whole fixture through a `shards`-shard matcher (per
+/// event, or as one batch) and asserts exact agreement with the
+/// replicated reference on matches + provenance per event and on stats,
+/// and with the semantic oracle (when given: the flattened-closure rows)
+/// on every publication the closure bounds did not truncate.
+fn assert_differential(
+    fixture: &Fixture,
+    config: Config,
+    batch: bool,
+    oracle: Option<&[Vec<Match>]>,
+    label: &str,
+) {
+    let shards = config.effective_shards();
+    let reference = replicated_reference(fixture, config, shards);
+    let sharded = matcher(fixture, config);
+    assert_eq!(sharded.shard_count(), shards, "{label}");
+    assert_eq!(sharded.len(), fixture.subscriptions.len(), "{label}: subscription counts");
+    let got: Vec<Vec<Match>> = if batch {
+        sharded.publish_batch(&fixture.publications)
+    } else {
+        fixture.publications.iter().map(|e| sharded.publish(e)).collect()
+    };
+    for (k, (got, want)) in got.iter().zip(&reference.matches).enumerate() {
+        assert_eq!(got, want, "{label}: event #{k} diverged from the replicated reference");
+    }
+    assert_eq!(sharded.stats(), reference.stats, "{label}: stats diverged");
+    for (k, want) in oracle.into_iter().flatten().enumerate() {
+        if !reference.truncated[k] {
+            assert_eq!(&got[k], want, "{label}: event #{k} diverged from the semantic oracle");
+        }
     }
 }
 
-/// Publishes the whole fixture through both matchers and asserts exact
-/// agreement on matches + provenance per event and on aggregated stats.
-fn assert_differential(fixture: &Fixture, config: Config, label: &str) {
-    let single = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    let sharded = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    subscribe_single(fixture, &single);
-    subscribe_sharded(fixture, &sharded);
-    assert_eq!(single.len(), sharded.len(), "{label}: subscription counts");
-    for (k, event) in fixture.publications.iter().enumerate() {
-        let want = single.publish(event);
-        let got = sharded.publish(event);
-        assert_eq!(got, want, "{label}: event #{k} diverged");
-    }
-    assert_eq!(sharded.stats(), single.stats(), "{label}: aggregated stats diverged");
-}
-
-/// Sweeps engines × strategies × masks × shard counts. The
-/// single-threaded reference is computed once per configuration and
-/// reused against every shard count.
+/// Sweeps engines × strategies × masks × shard counts; the
+/// flattened-closure rows are also checked against the semantic oracle.
 fn sweep(fixture: &Fixture, masks: &[StageMask], shard_counts: &[usize]) {
-    for engine in EngineKind::ALL {
+    for &stages in masks {
+        let oracle = oracle_matches(fixture, Config::default().with_stages(stages));
         for strategy in Strategy::ALL {
-            for &stages in masks {
-                let config = Config::default()
-                    .with_engine(engine)
-                    .with_strategy(strategy)
-                    .with_stages(stages);
-                let single = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_single(fixture, &single);
-                let want: Vec<Vec<Match>> =
-                    fixture.publications.iter().map(|e| single.publish(e)).collect();
+            let oracle = (strategy == Strategy::GeneralizedEvent).then_some(oracle.as_slice());
+            for engine in EngineKind::ALL {
                 for &shards in shard_counts {
+                    let config = Config::default()
+                        .with_engine(engine)
+                        .with_strategy(strategy)
+                        .with_stages(stages)
+                        .with_shards(shards);
                     let label = format!(
                         "engine={} strategy={} stages={:?} shards={}",
                         engine.name(),
@@ -100,19 +213,7 @@ fn sweep(fixture: &Fixture, masks: &[StageMask], shard_counts: &[usize]) {
                         stages,
                         shards
                     );
-                    let sharded = ShardedSToPSS::new(
-                        config.with_shards(shards),
-                        fixture.source.clone(),
-                        fixture.interner.clone(),
-                    );
-                    subscribe_sharded(fixture, &sharded);
-                    let got = sharded.publish_batch(&fixture.publications);
-                    assert_eq!(got, want, "{label}: match sets diverged");
-                    assert_eq!(
-                        sharded.stats(),
-                        single.stats(),
-                        "{label}: aggregated stats diverged"
-                    );
+                    assert_differential(fixture, config, true, oracle, &label);
                 }
             }
         }
@@ -144,7 +245,8 @@ fn constrained_parallelism_is_equivalent_too() {
     let fixture = jobfinder_fixture(80, 20, 11);
     for parallelism in [1usize, 2, 5] {
         let config = Config::default().with_shards(8).with_parallelism(parallelism);
-        assert_differential(&fixture, config, &format!("parallelism={parallelism}"));
+        let label = format!("parallelism={parallelism}");
+        assert_differential(&fixture, config, false, None, &label);
     }
 }
 
@@ -152,8 +254,8 @@ fn constrained_parallelism_is_equivalent_too() {
 /// masks: `publish_batch` now overlaps stage 1 of chunk k+1 with stage 2
 /// of chunk k, and must stay byte-identical — matches, provenance,
 /// ordering, aggregated stats — to both the explicit two-stage barrier
-/// (`frontend().prepare_batch()` + `publish_prepared_batch()`) and the
-/// single-threaded matcher. The batch spans several pipeline chunks so
+/// (`frontend().prepare_batch()` + `publish_prepared_batch()`) and a
+/// one-shard matcher. The batch spans several pipeline chunks so
 /// the overlap actually engages.
 #[test]
 fn pipelined_equals_barrier_across_engines_strategies_masks() {
@@ -174,14 +276,11 @@ fn pipelined_equals_barrier_across_engines_strategies_masks() {
                     engine.name(),
                     strategy.name()
                 );
-                let single = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_single(&fixture, &single);
+                let single = matcher(&fixture, config.with_shards(1));
                 let want: Vec<Vec<Match>> =
                     fixture.publications.iter().map(|e| single.publish(e)).collect();
 
-                let barrier =
-                    ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_sharded(&fixture, &barrier);
+                let barrier = matcher(&fixture, config);
                 let prepared = barrier.frontend().prepare_batch(&fixture.publications);
                 let from_barrier: Vec<Vec<Match>> = barrier
                     .publish_prepared_batch(&prepared)
@@ -189,9 +288,7 @@ fn pipelined_equals_barrier_across_engines_strategies_masks() {
                     .map(|r| r.matches)
                     .collect();
 
-                let pipelined =
-                    ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_sharded(&fixture, &pipelined);
+                let pipelined = matcher(&fixture, config);
                 let from_pipeline = pipelined.publish_batch(&fixture.publications);
 
                 assert_eq!(from_barrier, want, "{label}: barrier vs single");
@@ -209,13 +306,11 @@ fn pipelined_equals_barrier_across_engines_strategies_masks() {
 #[test]
 fn pipelined_constrained_parallelism_is_equivalent() {
     let fixture = jobfinder_fixture(80, 70, 11);
-    let single = SToPSS::new(Config::default(), fixture.source.clone(), fixture.interner.clone());
-    subscribe_single(&fixture, &single);
+    let single = matcher(&fixture, Config::default());
     let want: Vec<Vec<Match>> = fixture.publications.iter().map(|e| single.publish(e)).collect();
     for parallelism in [1usize, 2, 5] {
         let config = Config::default().with_shards(8).with_parallelism(parallelism);
-        let sharded = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-        subscribe_sharded(&fixture, &sharded);
+        let sharded = matcher(&fixture, config);
         let got = sharded.publish_batch(&fixture.publications);
         assert_eq!(got, want, "parallelism={parallelism}");
         assert_eq!(sharded.stats(), single.stats(), "parallelism={parallelism} stats");
@@ -230,7 +325,7 @@ fn same_fixture_published_twice_yields_identical_ordered_results() {
     let fixture = jobfinder_fixture(120, 30, 9);
     let config = Config::default().with_shards(8);
     let run = || {
-        let matcher = fixture.sharded_matcher(config);
+        let matcher = fixture.matcher(config);
         let sets: Vec<Vec<Match>> =
             fixture.publications.iter().map(|e| matcher.publish(e)).collect();
         (sets, matcher.stats())
@@ -245,11 +340,11 @@ fn same_fixture_published_twice_yields_identical_ordered_results() {
 fn publish_batch_equals_per_event_publish() {
     let fixture = jobfinder_fixture(120, 30, 9);
     let config = Config::default().with_shards(8);
-    let per_event = fixture.sharded_matcher(config);
+    let per_event = fixture.matcher(config);
     let sequential: Vec<Vec<Match>> =
         fixture.publications.iter().map(|e| per_event.publish(e)).collect();
     for batch_size in [1usize, 7, 30] {
-        let batched = fixture.sharded_matcher(config);
+        let batched = fixture.matcher(config);
         let got = fixture.feed_batches(&batched, batch_size);
         assert_eq!(got, sequential, "batch_size={batch_size}");
         assert_eq!(batched.stats(), per_event.stats(), "batch_size={batch_size} stats");
@@ -262,7 +357,7 @@ fn publish_batch_equals_per_event_publish() {
 #[test]
 fn golden_match_set_is_pinned() {
     let fixture = jobfinder_fixture(40, 10, 2003);
-    let matcher = fixture.sharded_matcher(Config::default().with_shards(8));
+    let matcher = fixture.matcher(Config::default().with_shards(8));
     let got: Vec<Vec<u64>> = fixture
         .publications
         .iter()
@@ -283,7 +378,7 @@ fn golden_match_set_is_pinned() {
         vec![1, 6, 18, 22, 24, 25, 33, 39],
     ];
     assert_eq!(got, want, "golden match-set drifted");
-    // The golden set must also be what the single-threaded matcher says.
+    // The golden set must also be what a one-shard matcher says.
     let single = fixture.matcher(Config::default());
     let single_ids: Vec<Vec<u64>> = fixture
         .publications

@@ -17,8 +17,8 @@
 use std::sync::Arc;
 
 use s_topss::core::{
-    classify_match, ClosureLimits, Config, Limits, SToPSS, ShardedSToPSS, StageMask, Strategy,
-    Tolerance, CLASSIFY_DISTANCE_CAP,
+    classify_match, ClosureLimits, Config, Limits, SToPSS, StageMask, Strategy, Tolerance,
+    CLASSIFY_DISTANCE_CAP,
 };
 use s_topss::matching::EngineKind;
 use s_topss::ontology::Ontology;
@@ -240,18 +240,16 @@ fn multi_path_derivations_report_the_minimal_distance() {
 
 #[test]
 fn sharded_fast_path_equals_single_threaded_oracle() {
-    // End to end across the concurrency axis: the sharded matcher (tier
-    // cache shared by concurrent shards) against the single-threaded
-    // oracle path, with mixed tolerances and batched publishing.
+    // End to end across the concurrency axis: a sharded matcher (tier
+    // cache shared by concurrent shards) against the one-shard oracle
+    // path, with mixed tolerances and batched publishing.
     let fixture = jobfinder_fixture(160, 40, 23);
-    let cycle = tolerance_cycle();
     for shards in [2usize, 8] {
         let config = Config::default().with_shards(shards).with_parallelism(shards.min(4));
-        let sharded = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-        for (k, sub) in fixture.subscriptions.iter().enumerate() {
-            sharded.subscribe_with_tolerance(sub.clone(), cycle[k % cycle.len()]);
-        }
-        let oracle = matcher_with_mixed_tolerances(&fixture, config.with_tier_cache(false));
+        let sharded = matcher_with_mixed_tolerances(&fixture, config);
+        assert_eq!(sharded.shard_count(), shards);
+        let oracle =
+            matcher_with_mixed_tolerances(&fixture, config.with_shards(1).with_tier_cache(false));
         let batched = sharded.publish_batch(&fixture.publications);
         let want: Vec<Vec<s_topss::core::Match>> =
             fixture.publications.iter().map(|e| oracle.publish(e)).collect();
